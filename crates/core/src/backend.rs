@@ -10,7 +10,7 @@
 //! timeline. This realizes the paper's "accuracy is guaranteed" property
 //! and is verified by the cross-method equivalence tests.
 
-use hetsolve_fem::{CompactEbe, CompactElements, FemProblem};
+use hetsolve_fem::{CompactEbe, CompactElements, EbePlan, FemProblem};
 use hetsolve_mesh::{color_elements, Coloring};
 use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearOperator};
 
@@ -18,6 +18,9 @@ use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearO
 pub struct Backend {
     pub problem: FemProblem,
     pub coloring: Coloring,
+    /// Element and face colorings validated once against the mesh; every
+    /// EBE operator borrows it instead of re-validating.
+    pub plan: EbePlan,
     pub compact: CompactElements,
     /// Dirichlet mask as a bool slice.
     pub fixed: Vec<bool>,
@@ -36,6 +39,12 @@ impl Backend {
     /// CRS-CG baselines need them; EBE-MCG does not).
     pub fn new(problem: FemProblem, with_crs: bool, parallel: bool) -> Self {
         let coloring = color_elements(&problem.model.mesh);
+        let plan = EbePlan::new(
+            problem.n_nodes(),
+            &problem.model.mesh.elems,
+            &coloring,
+            &problem.dashpots.faces,
+        );
         let compact = CompactElements::compute(&problem.model.mesh, &problem.materials);
         let fixed: Vec<bool> = problem.mask.as_slice().to_vec();
         let a = problem.a_coeffs();
@@ -73,12 +82,12 @@ impl Backend {
         };
         // preconditioner blocks from the matrix-free diagonal (identical to
         // the assembled diagonal; see fem::ebe_compact tests)
-        let op = Self::compact_op_parts(
-            &problem,
+        let op = CompactEbe::new(
+            &plan,
             &compact,
-            &coloring,
-            &fixed,
+            &problem.dashpots.cb,
             (a.c_m, a.c_k, a.c_b),
+            &fixed,
             parallel,
             1,
         );
@@ -86,6 +95,7 @@ impl Backend {
         Backend {
             problem,
             coloring,
+            plan,
             compact,
             fixed,
             crs_a,
@@ -95,25 +105,20 @@ impl Backend {
         }
     }
 
-    fn compact_op_parts<'a>(
-        problem: &'a FemProblem,
-        compact: &'a CompactElements,
-        coloring: &'a Coloring,
+    /// Compact operator with the given mask, coefficients and width.
+    fn compact_op<'a>(
+        &'a self,
         fixed: &'a [bool],
         coeffs: (f64, f64, f64),
-        parallel: bool,
         r: usize,
     ) -> CompactEbe<'a> {
         CompactEbe::new(
-            problem.n_nodes(),
-            &problem.model.mesh.elems,
-            compact,
-            &problem.dashpots.faces,
-            &problem.dashpots.cb,
+            &self.plan,
+            &self.compact,
+            &self.problem.dashpots.cb,
             coeffs,
             fixed,
-            coloring,
-            parallel,
+            self.parallel,
             r,
         )
     }
@@ -121,43 +126,19 @@ impl Backend {
     /// Matrix-free system operator `A` with `r` fused RHS.
     pub fn ebe_a(&self, r: usize) -> CompactEbe<'_> {
         let a = self.problem.a_coeffs();
-        Self::compact_op_parts(
-            &self.problem,
-            &self.compact,
-            &self.coloring,
-            &self.fixed,
-            (a.c_m, a.c_k, a.c_b),
-            self.parallel,
-            r,
-        )
+        self.compact_op(&self.fixed, (a.c_m, a.c_k, a.c_b), r)
     }
 
     /// Matrix-free mass operator `M` (no Dirichlet identity: used inside
     /// the RHS where fixed rows are projected to zero afterwards).
     pub fn ebe_m(&self) -> CompactEbe<'_> {
-        Self::compact_op_parts(
-            &self.problem,
-            &self.compact,
-            &self.coloring,
-            &[],
-            (1.0, 0.0, 0.0),
-            self.parallel,
-            1,
-        )
+        self.compact_op(&[], (1.0, 0.0, 0.0), 1)
     }
 
     /// Matrix-free damping operator `C = α M + β K + C_b`.
     pub fn ebe_c(&self) -> CompactEbe<'_> {
         let c = self.problem.c_coeffs();
-        Self::compact_op_parts(
-            &self.problem,
-            &self.compact,
-            &self.coloring,
-            &[],
-            (c.c_m, c.c_k, c.c_b),
-            self.parallel,
-            1,
-        )
+        self.compact_op(&[], (c.c_m, c.c_k, c.c_b), 1)
     }
 
     /// Were the assembled (CRS) matrices built? The run drivers check

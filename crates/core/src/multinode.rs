@@ -9,8 +9,8 @@
 //! which is what the paper means by "the computation becomes consistent
 //! with a single CPU-GPU case".
 
-use hetsolve_fem::{CompactEbe, CompactElements, FemProblem};
-use hetsolve_mesh::{build_partition, color_elements, partition_rcb, Coloring, Partition, SubMesh};
+use hetsolve_fem::{CompactEbe, CompactElements, EbePlan, FemProblem};
+use hetsolve_mesh::{build_partition, color_elements, partition_rcb, Partition, SubMesh};
 use hetsolve_obs::Json;
 use hetsolve_sparse::{KernelCounts, LinearOperator};
 
@@ -49,9 +49,10 @@ impl PartitionMetrics {
 pub struct LocalPart {
     pub sub: SubMesh,
     pub compact: CompactElements,
-    pub coloring: Coloring,
-    /// Local dashpot faces (in local node ids) + packed matrices.
-    pub faces: Vec<[u32; 6]>,
+    /// Validated local element and dashpot-face colorings (faces in local
+    /// node ids).
+    pub plan: EbePlan,
+    /// Packed dashpot matrices of the plan's faces.
     pub cb: Vec<f64>,
     /// Local Dirichlet mask.
     pub fixed: Vec<bool>,
@@ -126,12 +127,11 @@ impl PartitionedProblem {
                     .iter()
                     .flat_map(|&g| (0..3).map(move |d| fg[3 * g as usize + d]))
                     .collect();
-                let sub = sub.clone();
+                let plan = EbePlan::new(sub.mesh.n_nodes(), &sub.mesh.elems, &coloring, &faces);
                 LocalPart {
-                    sub,
+                    sub: sub.clone(),
                     compact,
-                    coloring,
-                    faces,
+                    plan,
                     cb,
                     fixed,
                 }
@@ -150,14 +150,11 @@ impl PartitionedProblem {
 
     fn local_op<'a>(&'a self, p: &'a LocalPart) -> CompactEbe<'a> {
         CompactEbe::new(
-            p.sub.mesh.n_nodes(),
-            &p.sub.mesh.elems,
+            &p.plan,
             &p.compact,
-            &p.faces,
             &p.cb,
             self.coeffs,
             &p.fixed,
-            &p.coloring,
             self.parallel,
             1,
         )
@@ -262,7 +259,12 @@ impl LinearOperator for DistributedOperator<'_> {
             .iter()
             .map(|p| p.sub.mesh.n_elems())
             .sum();
-        let nf: usize = self.problem.parts.iter().map(|p| p.faces.len()).sum();
+        let nf: usize = self
+            .problem
+            .parts
+            .iter()
+            .map(|p| p.plan.faces().len())
+            .sum();
         hetsolve_fem::compact_ebe_counts(ne, nf, self.n(), 1)
     }
 }
@@ -372,7 +374,7 @@ mod tests {
     fn dashpot_faces_are_distributed_completely() {
         let prob = problem();
         let part = PartitionedProblem::new(&prob, 4, false);
-        let total: usize = part.parts.iter().map(|p| p.faces.len()).sum();
+        let total: usize = part.parts.iter().map(|p| p.plan.faces().len()).sum();
         assert_eq!(total, prob.dashpots.n_faces());
     }
 }

@@ -141,14 +141,11 @@ pub fn run_nonlinear_traced(
         let mut x = guess.clone();
         loop {
             let op = CompactEbe::new(
-                backend.problem.n_nodes(),
-                &mesh.elems,
+                &backend.plan,
                 &compact,
-                &backend.problem.dashpots.faces,
                 &backend.problem.dashpots.cb,
                 (a.c_m, a.c_k, a.c_b),
                 &backend.fixed,
-                &backend.coloring,
                 backend.parallel,
                 1,
             );
@@ -164,26 +161,20 @@ pub fn run_nonlinear_traced(
                 );
                 let c = backend.problem.c_coeffs();
                 let op_m = CompactEbe::new(
-                    backend.problem.n_nodes(),
-                    &mesh.elems,
+                    &backend.plan,
                     &compact,
-                    &backend.problem.dashpots.faces,
                     &backend.problem.dashpots.cb,
                     (1.0, 0.0, 0.0),
                     &[],
-                    &backend.coloring,
                     backend.parallel,
                     1,
                 );
                 let op_c = CompactEbe::new(
-                    backend.problem.n_nodes(),
-                    &mesh.elems,
+                    &backend.plan,
                     &compact,
-                    &backend.problem.dashpots.faces,
                     &backend.problem.dashpots.cb,
                     (c.c_m, c.c_k, c.c_b),
                     &[],
-                    &backend.coloring,
                     backend.parallel,
                     1,
                 );
@@ -254,7 +245,6 @@ pub fn run_nonlinear_traced(
             }
             secant_iterations += 1;
             drop(precond);
-            drop(op);
 
             let change = state.update(&mut compact, mesh, &x, model);
             refresh_time_ebe += tracer.charge_gpu(

@@ -20,11 +20,11 @@
 //! (32 B) + 40 B of node ids ≈ 168 B — versus 7.4 KB for cached packed
 //! matrices, a ~44× traffic reduction that turns the kernel compute-bound.
 
-use hetsolve_mesh::{validate_groups, Coloring, Material, TetMesh10};
+use hetsolve_mesh::{Coloring, Material, TetMesh10};
 use hetsolve_sparse::dirichlet::FixedMask;
 use hetsolve_sparse::ebe::color_faces;
 use hetsolve_sparse::op::{KernelCounts, LinearOperator, MultiOperator};
-use hetsolve_sparse::parcheck::ColorScatter;
+use hetsolve_sparse::parcheck::{ColorScatter, ColoredConnectivity};
 use hetsolve_sparse::sym::sym2_matvec_add_multi;
 use rayon::prelude::*;
 
@@ -122,21 +122,62 @@ impl CompactElements {
     }
 }
 
+/// The validated scatter plan of a Tet10 mesh and its Tri6 dashpot faces:
+/// the element connectivity with its coloring and the face connectivity
+/// with its coloring, each checked by `validate_groups`. Build it once per
+/// mesh; every [`CompactEbe`] borrows it, so building an operator does no
+/// coloring work and cannot skip the check.
+#[derive(Debug, Clone)]
+pub struct EbePlan {
+    elems: ColoredConnectivity<10>,
+    faces: ColoredConnectivity<6>,
+}
+
+impl EbePlan {
+    /// Validate `coloring` over `elems`, color the dashpot `faces` and
+    /// validate that coloring too. Panics with the offending pair when two
+    /// same-color entities share a node (their scatters would race).
+    pub fn new(
+        n_nodes: usize,
+        elems: &[[u32; 10]],
+        coloring: &Coloring,
+        faces: &[[u32; 6]],
+    ) -> Self {
+        assert_eq!(coloring.color.len(), elems.len());
+        let elems = ColoredConnectivity::validate(n_nodes, elems, coloring.groups.clone())
+            .unwrap_or_else(|c| panic!("EbePlan::new: element {c}"));
+        let faces = ColoredConnectivity::validate(n_nodes, faces, color_faces(n_nodes, faces))
+            .unwrap_or_else(|c| panic!("EbePlan::new: face {c}"));
+        EbePlan { elems, faces }
+    }
+
+    pub fn n_nodes(&self) -> usize {
+        self.elems.n_nodes()
+    }
+
+    /// Element → node ids.
+    pub fn elems(&self) -> &[[u32; 10]] {
+        self.elems.conn()
+    }
+
+    /// Dashpot face → node ids.
+    pub fn faces(&self) -> &[[u32; 6]] {
+        self.faces.conn()
+    }
+}
+
 /// The compact matrix-free operator `c_m M + c_k K + c_b C_b` over a Tet10
 /// mesh with optional boundary dashpots and Dirichlet mask.
 pub struct CompactEbe<'a> {
-    pub elems: &'a [[u32; 10]],
+    /// Validated connectivity and colorings of elements and faces.
+    pub plan: &'a EbePlan,
     pub data: &'a CompactElements,
-    pub faces: &'a [[u32; 6]],
     /// Flat packed face dashpot matrices (stride 171).
     pub cb: &'a [f64],
     pub c_m: f64,
     pub c_k: f64,
     pub c_b: f64,
     pub fixed: &'a [bool],
-    pub n_nodes: usize,
-    pub coloring: &'a Coloring,
-    pub face_groups: Vec<Vec<u32>>,
     pub parallel: bool,
     /// Fused right-hand sides (1, 2, 4, or 8).
     pub r: usize,
@@ -147,17 +188,44 @@ pub struct CompactEbe<'a> {
     pub identity_on_fixed: bool,
 }
 
+/// Element geometry record: barycentric gradients, volume, ρ, λ, μ.
+#[inline(always)]
+fn geometry(geo: &[f64], e: usize) -> ([[f64; 3]; 4], f64, f64, f64, f64) {
+    let g = &geo[e * GEO_STRIDE..(e + 1) * GEO_STRIDE];
+    let dl = [
+        [g[0], g[1], g[2]],
+        [g[3], g[4], g[5]],
+        [g[6], g[7], g[8]],
+        [g[9], g[10], g[11]],
+    ];
+    (dl, g[12], g[13], g[14], g[15])
+}
+
+/// Physical shape gradients at one quadrature point:
+/// `g_i = Σ_a gt[i][a] ∇L_a`, skipping the zero table entries.
+#[inline(always)]
+fn phys_gradients(gt: &[f64; 40], dl: &[[f64; 3]; 4]) -> [[f64; 3]; 10] {
+    let mut gr = [[0.0f64; 3]; 10];
+    for i in 0..10 {
+        for a in 0..4 {
+            let c = gt[4 * i + a];
+            if c != 0.0 {
+                gr[i][0] += c * dl[a][0];
+                gr[i][1] += c * dl[a][1];
+                gr[i][2] += c * dl[a][2];
+            }
+        }
+    }
+    gr
+}
+
 impl<'a> CompactEbe<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        n_nodes: usize,
-        elems: &'a [[u32; 10]],
+        plan: &'a EbePlan,
         data: &'a CompactElements,
-        faces: &'a [[u32; 6]],
         cb: &'a [f64],
         coeffs: (f64, f64, f64),
         fixed: &'a [bool],
-        coloring: &'a Coloring,
         parallel: bool,
         r: usize,
     ) -> Self {
@@ -165,29 +233,15 @@ impl<'a> CompactEbe<'a> {
             matches!(r, 1 | 2 | 4 | 8),
             "fused RHS count must be 1, 2, 4 or 8 (got {r})"
         );
-        assert_eq!(elems.len(), data.n_elems);
-        assert_eq!(coloring.color.len(), elems.len());
-        // Race-freedom precondition of the colored scatter (see
-        // `hetsolve_sparse::parcheck`).
-        if let Err(c) = validate_groups(n_nodes, elems, &coloring.groups) {
-            panic!("CompactEbe::new: element {c}");
-        }
-        let face_groups = color_faces(n_nodes, faces);
-        if let Err(c) = validate_groups(n_nodes, faces, &face_groups) {
-            panic!("CompactEbe::new: face {c}");
-        }
+        assert_eq!(plan.elems().len(), data.n_elems);
         CompactEbe {
-            elems,
+            plan,
             data,
-            faces,
             cb,
             c_m: coeffs.0,
             c_k: coeffs.1,
             c_b: coeffs.2,
             fixed,
-            n_nodes,
-            coloring,
-            face_groups,
             parallel,
             r,
             identity_on_fixed: true,
@@ -200,6 +254,10 @@ impl<'a> CompactEbe<'a> {
         self
     }
 
+    pub fn n_nodes(&self) -> usize {
+        self.plan.n_nodes()
+    }
+
     #[inline]
     fn masked(&self, dof: usize, v: f64) -> f64 {
         FixedMask::new(self.fixed).masked(dof, v)
@@ -207,16 +265,10 @@ impl<'a> CompactEbe<'a> {
 
     /// Compute `y_local += (c_m M_e + c_k K_e) x_local` for element `e`,
     /// entirely from the compact geometry record. `R` = fused RHS,
-    /// interleaved locals (`x[(3k+a)*R + c]`).
+    /// interleaved locals (`x[(3k+a)*R + c]`). The scalar reference of
+    /// [`Self::element_apply_lanes`].
     fn element_apply<const R: usize>(&self, e: usize, x: &[f64], y: &mut [f64]) {
-        let g = &self.data.geo[e * GEO_STRIDE..(e + 1) * GEO_STRIDE];
-        let dl = [
-            [g[0], g[1], g[2]],
-            [g[3], g[4], g[5]],
-            [g[6], g[7], g[8]],
-            [g[9], g[10], g[11]],
-        ];
-        let (vol, rho, lam, mu) = (g[12], g[13], g[14], g[15]);
+        let (dl, vol, rho, lam, mu) = geometry(&self.data.geo, e);
         let t = &self.data.tables;
 
         // --- mass: y += c_m * rho * vol * (Mhat ⊗ I3) x
@@ -244,18 +296,7 @@ impl<'a> CompactEbe<'a> {
         let kscale = self.c_k * vol;
         if kscale != 0.0 {
             for (gt, w) in &t.grad_table {
-                // physical gradients g_i = sum_a gt[i][a] * dl[a]
-                let mut gr = [[0.0f64; 3]; 10];
-                for i in 0..10 {
-                    for a in 0..4 {
-                        let c = gt[4 * i + a];
-                        if c != 0.0 {
-                            gr[i][0] += c * dl[a][0];
-                            gr[i][1] += c * dl[a][1];
-                            gr[i][2] += c * dl[a][2];
-                        }
-                    }
-                }
+                let gr = phys_gradients(gt, &dl);
                 let wv = kscale * w;
                 for c in 0..R {
                     // displacement gradient H = sum_i x_i ⊗ g_i (3x3)
@@ -298,90 +339,275 @@ impl<'a> CompactEbe<'a> {
         }
     }
 
-    fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
+    /// [`Self::element_apply`] with the `R` cases as SIMD lanes (`x[3k+a]`
+    /// holds the `R` cases of local DOF `(k, a)`). Every lane performs the
+    /// scalar kernel's operations in the same order — the per-case loop
+    /// only moves innermost — so the result is bitwise-equal.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn element_apply_lanes<const R: usize>(
+        &self,
+        e: usize,
+        x: &[[f64; R]; 30],
+        y: &mut [[f64; R]; 30],
+    ) {
+        let (dl, vol, rho, lam, mu) = geometry(&self.data.geo, e);
+        let t = &self.data.tables;
+
+        let mscale = self.c_m * rho * vol;
+        if mscale != 0.0 {
+            for i in 0..10 {
+                let mut acc = [[0.0f64; R]; 3];
+                for j in 0..10 {
+                    let mij = t.mhat[10 * i + j];
+                    for a in 0..3 {
+                        for c in 0..R {
+                            acc[a][c] += mij * x[3 * j + a][c];
+                        }
+                    }
+                }
+                for a in 0..3 {
+                    for c in 0..R {
+                        y[3 * i + a][c] += mscale * acc[a][c];
+                    }
+                }
+            }
+        }
+
+        let kscale = self.c_k * vol;
+        if kscale != 0.0 {
+            for (gt, w) in &t.grad_table {
+                let gr = phys_gradients(gt, &dl);
+                let wv = kscale * w;
+                let mut h = [[0.0f64; R]; 9];
+                for i in 0..10 {
+                    let gi = &gr[i];
+                    for c in 0..R {
+                        let (u0, u1, u2) = (x[3 * i][c], x[3 * i + 1][c], x[3 * i + 2][c]);
+                        h[0][c] += u0 * gi[0];
+                        h[1][c] += u0 * gi[1];
+                        h[2][c] += u0 * gi[2];
+                        h[3][c] += u1 * gi[0];
+                        h[4][c] += u1 * gi[1];
+                        h[5][c] += u1 * gi[2];
+                        h[6][c] += u2 * gi[0];
+                        h[7][c] += u2 * gi[1];
+                        h[8][c] += u2 * gi[2];
+                    }
+                }
+                // stress columns: s00, s11, s22, s01, s02, s12
+                let mut s = [[0.0f64; R]; 6];
+                for c in 0..R {
+                    let tr = h[0][c] + h[4][c] + h[8][c];
+                    let lt = lam * tr;
+                    s[0][c] = lt + 2.0 * mu * h[0][c];
+                    s[1][c] = lt + 2.0 * mu * h[4][c];
+                    s[2][c] = lt + 2.0 * mu * h[8][c];
+                    s[3][c] = mu * (h[1][c] + h[3][c]);
+                    s[4][c] = mu * (h[2][c] + h[6][c]);
+                    s[5][c] = mu * (h[5][c] + h[7][c]);
+                }
+                let [s00, s11, s22, s01, s02, s12] = s;
+                for i in 0..10 {
+                    let gi = &gr[i];
+                    for c in 0..R {
+                        y[3 * i][c] += wv * (s00[c] * gi[0] + s01[c] * gi[1] + s02[c] * gi[2]);
+                        y[3 * i + 1][c] += wv * (s01[c] * gi[0] + s11[c] * gi[1] + s12[c] * gi[2]);
+                        y[3 * i + 2][c] += wv * (s02[c] * gi[0] + s12[c] * gi[1] + s22[c] * gi[2]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Gather element `e`'s local inputs, apply [`Self::element_apply`]
+    /// and scatter the result: the scalar reference path.
+    ///
+    /// # Safety
+    ///
+    /// `e` must belong to the element color group of `scatter`'s current
+    /// pass, and `scatter` must wrap `3 * n_nodes * R` values.
+    unsafe fn element_scalar<const R: usize>(&self, scatter: &ColorScatter, e: u32, x: &[f64]) {
+        let el = &self.plan.elems()[e as usize];
+        let mut xl = [0.0f64; 240];
+        let mut yl = [0.0f64; 240];
+        let xl = &mut xl[..30 * R];
+        let yl = &mut yl[..30 * R];
+        for (k, &n) in el.iter().enumerate() {
+            for a in 0..3 {
+                let dof = 3 * n as usize + a;
+                for c in 0..R {
+                    xl[(3 * k + a) * R + c] = self.masked(dof, x[dof * R + c]);
+                }
+            }
+        }
+        self.element_apply::<R>(e as usize, xl, yl);
+        for (k, &n) in el.iter().enumerate() {
+            for a in 0..3 {
+                let dof = 3 * n as usize + a;
+                for c in 0..R {
+                    // SAFETY: same-color elements touch disjoint nodes (the
+                    // plan validated the coloring; the caller passes an
+                    // element of the current pass), and node ids are below
+                    // `n_nodes`, so the slot is in bounds.
+                    unsafe { scatter.add(e, dof * R + c, yl[(3 * k + a) * R + c]) };
+                }
+            }
+        }
+    }
+
+    /// [`Self::element_scalar`] compiled for AVX2 with the lane kernel: a
+    /// contiguous `3R`-wide gather per node, [`Self::element_apply_lanes`],
+    /// and the same scatter.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2, plus the contract of
+    /// [`Self::element_scalar`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn element_avx2<const R: usize>(&self, scatter: &ColorScatter, e: u32, x: &[f64]) {
+        let el = &self.plan.elems()[e as usize];
+        let rows = x.as_chunks::<R>().0;
+        let mut xl = [[0.0f64; R]; 30];
+        for (k, &n) in el.iter().enumerate() {
+            for a in 0..3 {
+                let dof = 3 * n as usize + a;
+                if self.fixed.is_empty() || !self.fixed[dof] {
+                    xl[3 * k + a] = rows[dof];
+                }
+            }
+        }
+        let mut yl = [[0.0f64; R]; 30];
+        self.element_apply_lanes::<R>(e as usize, &xl, &mut yl);
+        for (k, &n) in el.iter().enumerate() {
+            for a in 0..3 {
+                let dof = 3 * n as usize + a;
+                for c in 0..R {
+                    // SAFETY: as in `element_scalar` (same caller
+                    // contract, same slots).
+                    unsafe { scatter.add(e, dof * R + c, yl[3 * k + a][c]) };
+                }
+            }
+        }
+    }
+
+    /// Gather face `f`'s local inputs, apply its cached dashpot matrix and
+    /// scatter the result.
+    ///
+    /// # Safety
+    ///
+    /// `f` must belong to the face color group of `scatter`'s current
+    /// pass, and `scatter` must wrap `3 * n_nodes * R` values.
+    #[inline(always)]
+    unsafe fn face_scalar<const R: usize>(&self, scatter: &ColorScatter, f: u32, x: &[f64]) {
+        let fc = &self.plan.faces()[f as usize];
+        let mut xl = [0.0f64; 144];
+        let mut yl = [0.0f64; 144];
+        let xl = &mut xl[..18 * R];
+        let yl = &mut yl[..18 * R];
+        for (k, &n) in fc.iter().enumerate() {
+            for a in 0..3 {
+                let dof = 3 * n as usize + a;
+                for c in 0..R {
+                    xl[(3 * k + a) * R + c] = self.masked(dof, x[dof * R + c]);
+                }
+            }
+        }
+        let cb = &self.cb[f as usize * 171..(f as usize + 1) * 171];
+        sym2_matvec_add_multi::<R>(self.c_b, cb, 0.0, cb, xl, yl, 18);
+        for (k, &n) in fc.iter().enumerate() {
+            for a in 0..3 {
+                let dof = 3 * n as usize + a;
+                for c in 0..R {
+                    // SAFETY: the face coloring of the plan guarantees
+                    // disjoint per-pass writes (the caller passes a face of
+                    // the current pass); node ids are below `n_nodes`.
+                    unsafe { scatter.add(f, dof * R + c, yl[(3 * k + a) * R + c]) };
+                }
+            }
+        }
+    }
+
+    /// [`Self::face_scalar`] compiled for AVX2: the same code, whose `R`
+    /// loops (and those of the inlined `sym2_matvec_add_multi`) become
+    /// SIMD lanes.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2, plus the contract of
+    /// [`Self::face_scalar`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn face_avx2<const R: usize>(&self, scatter: &ColorScatter, f: u32, x: &[f64]) {
+        // SAFETY: the caller upholds `face_scalar`'s contract.
+        unsafe { self.face_scalar::<R>(scatter, f, x) }
+    }
+
+    /// One colored scatter pass per group of `groups`, calling `body` for
+    /// every entity of the pass (rayon-parallel within a pass when
+    /// `parallel`). Groups come from the validated plan, so `body` only
+    /// ever sees entities of `scatter`'s current pass.
+    fn color_passes(
+        &self,
+        scatter: &mut ColorScatter,
+        groups: &[Vec<u32>],
+        body: impl Fn(&ColorScatter, u32) + Sync + Send,
+    ) {
+        for group in groups {
+            scatter.begin_color();
+            let scatter = &*scatter;
+            if self.parallel {
+                group.par_iter().for_each(|&id| body(scatter, id));
+            } else {
+                group.iter().for_each(|&id| body(scatter, id));
+            }
+        }
+    }
+
+    /// The apply with `R` fused cases; `simd == false` forces the scalar
+    /// reference kernels.
+    fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64], simd: bool) {
+        // The scatter writes through a raw pointer; its bounds rest on this
+        // length together with the plan's node-id check.
+        let len = 3 * self.n_nodes() * R;
+        assert_eq!(x.len(), len, "input length");
+        assert_eq!(y.len(), len, "output length");
         y.fill(0.0);
         let mut scatter = ColorScatter::new(y);
-        for group in &self.coloring.groups {
-            scatter.begin_color();
-            let scatter = &scatter;
-            let run = move |&e: &u32| {
-                let eid = e;
-                let e = e as usize;
-                let el = &self.elems[e];
-                let mut xl = [0.0f64; 240];
-                let mut yl = [0.0f64; 240];
-                let xl = &mut xl[..30 * R];
-                let yl = &mut yl[..30 * R];
-                for (k, &n) in el.iter().enumerate() {
-                    for a in 0..3 {
-                        let dof = 3 * n as usize + a;
-                        for c in 0..R {
-                            xl[(3 * k + a) * R + c] = self.masked(dof, x[dof * R + c]);
-                        }
-                    }
-                }
-                self.element_apply::<R>(e, xl, yl);
-                // SAFETY: same-color elements touch disjoint nodes
-                // (validated at construction), so per-pass writes are
-                // disjoint.
-                unsafe {
-                    for (k, &n) in el.iter().enumerate() {
-                        for a in 0..3 {
-                            let dof = 3 * n as usize + a;
-                            for c in 0..R {
-                                scatter.add(eid, dof * R + c, yl[(3 * k + a) * R + c]);
-                            }
-                        }
-                    }
-                }
-            };
-            if self.parallel {
-                group.par_iter().for_each(run);
-            } else {
-                group.iter().for_each(run);
-            }
+        let avx2 = simd && hetsolve_sparse::simd::avx2();
+        let elems = self.plan.elems.groups();
+        if avx2 {
+            #[cfg(target_arch = "x86_64")]
+            self.color_passes(&mut scatter, elems, |s, e| {
+                // SAFETY: AVX2 was detected at run time above; `e` is an
+                // element of `s`'s current pass (`color_passes`), and `s`
+                // wraps `y`, whose length was asserted above.
+                unsafe { self.element_avx2::<R>(s, e, x) }
+            });
+        } else {
+            self.color_passes(&mut scatter, elems, |s, e| {
+                // SAFETY: `e` is an element of `s`'s current pass
+                // (`color_passes`); `s` wraps `y` of asserted length.
+                unsafe { self.element_scalar::<R>(s, e, x) }
+            });
         }
         // boundary dashpots (cached packed matrices)
         if self.c_b != 0.0 {
-            for group in &self.face_groups {
-                scatter.begin_color();
-                let scatter = &scatter;
-                let run = move |&f: &u32| {
-                    let fid = f;
-                    let f = f as usize;
-                    let fc = &self.faces[f];
-                    let mut xl = [0.0f64; 144];
-                    let mut yl = [0.0f64; 144];
-                    let xl = &mut xl[..18 * R];
-                    let yl = &mut yl[..18 * R];
-                    for (k, &n) in fc.iter().enumerate() {
-                        for a in 0..3 {
-                            let dof = 3 * n as usize + a;
-                            for c in 0..R {
-                                xl[(3 * k + a) * R + c] = self.masked(dof, x[dof * R + c]);
-                            }
-                        }
-                    }
-                    let cb = &self.cb[f * 171..(f + 1) * 171];
-                    sym2_matvec_add_multi::<R>(self.c_b, cb, 0.0, cb, xl, yl, 18);
-                    // SAFETY: face coloring guarantees disjoint per-pass
-                    // writes (validated at construction).
-                    unsafe {
-                        for (k, &n) in fc.iter().enumerate() {
-                            for a in 0..3 {
-                                let dof = 3 * n as usize + a;
-                                for c in 0..R {
-                                    scatter.add(fid, dof * R + c, yl[(3 * k + a) * R + c]);
-                                }
-                            }
-                        }
-                    }
-                };
-                if self.parallel {
-                    group.par_iter().for_each(run);
-                } else {
-                    group.iter().for_each(run);
-                }
+            let faces = self.plan.faces.groups();
+            if avx2 {
+                #[cfg(target_arch = "x86_64")]
+                self.color_passes(&mut scatter, faces, |s, f| {
+                    // SAFETY: AVX2 was detected at run time above; `f` is
+                    // a face of `s`'s current pass, `s` wraps `y`.
+                    unsafe { self.face_avx2::<R>(s, f, x) }
+                });
+            } else {
+                self.color_passes(&mut scatter, faces, |s, f| {
+                    // SAFETY: `f` is a face of `s`'s current pass, `s`
+                    // wraps `y` of asserted length.
+                    unsafe { self.face_scalar::<R>(s, f, x) }
+                });
             }
         }
         drop(scatter);
@@ -391,12 +617,12 @@ impl<'a> CompactEbe<'a> {
         }
     }
 
-    fn dispatch(&self, x: &[f64], y: &mut [f64]) {
+    fn dispatch(&self, x: &[f64], y: &mut [f64], simd: bool) {
         match self.r {
-            1 => self.apply_r::<1>(x, y),
-            2 => self.apply_r::<2>(x, y),
-            4 => self.apply_r::<4>(x, y),
-            8 => self.apply_r::<8>(x, y),
+            1 => self.apply_r::<1>(x, y, simd),
+            2 => self.apply_r::<2>(x, y, simd),
+            4 => self.apply_r::<4>(x, y, simd),
+            8 => self.apply_r::<8>(x, y, simd),
             _ => unreachable!("validated in constructor"),
         }
     }
@@ -405,16 +631,9 @@ impl<'a> CompactEbe<'a> {
     /// reference tables per element, plus face and Dirichlet contributions.
     pub fn diagonal_blocks(&self) -> Vec<[f64; 9]> {
         let t = &self.data.tables;
-        let mut out = vec![[0.0f64; 9]; self.n_nodes];
-        for (e, el) in self.elems.iter().enumerate() {
-            let g = &self.data.geo[e * GEO_STRIDE..(e + 1) * GEO_STRIDE];
-            let dl = [
-                [g[0], g[1], g[2]],
-                [g[3], g[4], g[5]],
-                [g[6], g[7], g[8]],
-                [g[9], g[10], g[11]],
-            ];
-            let (vol, rho, lam, mu) = (g[12], g[13], g[14], g[15]);
+        let mut out = vec![[0.0f64; 9]; self.n_nodes()];
+        for (e, el) in self.plan.elems().iter().enumerate() {
+            let (dl, vol, rho, lam, mu) = geometry(&self.data.geo, e);
             for (k, &n) in el.iter().enumerate() {
                 let blk = &mut out[n as usize];
                 // mass diagonal block: c_m rho V Mhat_kk I
@@ -444,7 +663,7 @@ impl<'a> CompactEbe<'a> {
             }
         }
         let pidx = hetsolve_sparse::sym::packed_idx;
-        for (f, fc) in self.faces.iter().enumerate() {
+        for (f, fc) in self.plan.faces().iter().enumerate() {
             let cb = &self.cb[f * 171..(f + 1) * 171];
             for (k, &n) in fc.iter().enumerate() {
                 let blk = &mut out[n as usize];
@@ -456,7 +675,7 @@ impl<'a> CompactEbe<'a> {
             }
         }
         if !self.fixed.is_empty() {
-            for n in 0..self.n_nodes {
+            for n in 0..self.n_nodes() {
                 for a in 0..3 {
                     if self.fixed[3 * n + a] {
                         let blk = &mut out[n];
@@ -493,22 +712,27 @@ pub fn compact_ebe_counts(n_elems: usize, n_faces: usize, n_dofs: usize, r: usiz
 
 impl LinearOperator for CompactEbe<'_> {
     fn n(&self) -> usize {
-        3 * self.n_nodes
+        3 * self.n_nodes()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(self.r, 1, "use apply_multi for fused-RHS operators");
-        self.dispatch(x, y);
+        self.dispatch(x, y, true);
     }
 
     fn counts(&self) -> KernelCounts {
-        compact_ebe_counts(self.elems.len(), self.faces.len(), 3 * self.n_nodes, 1)
+        compact_ebe_counts(
+            self.plan.elems().len(),
+            self.plan.faces().len(),
+            3 * self.n_nodes(),
+            1,
+        )
     }
 }
 
 impl MultiOperator for CompactEbe<'_> {
     fn n(&self) -> usize {
-        3 * self.n_nodes
+        3 * self.n_nodes()
     }
 
     fn r(&self) -> usize {
@@ -516,12 +740,16 @@ impl MultiOperator for CompactEbe<'_> {
     }
 
     fn apply_multi(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), 3 * self.n_nodes * self.r);
-        self.dispatch(x, y);
+        self.dispatch(x, y, true);
     }
 
     fn counts(&self) -> KernelCounts {
-        compact_ebe_counts(self.elems.len(), self.faces.len(), 3 * self.n_nodes, self.r)
+        compact_ebe_counts(
+            self.plan.elems().len(),
+            self.plan.faces().len(),
+            3 * self.n_nodes(),
+            self.r,
+        )
     }
 }
 
@@ -545,39 +773,89 @@ mod tests {
         (0..mask.n_dofs()).map(|d| mask.is_fixed(d)).collect()
     }
 
-    #[test]
-    fn compact_matches_cached_matrices() {
+    /// Problem, its validated plan, compact data and Dirichlet mask.
+    struct Fixture {
+        p: FemProblem,
+        coloring: Coloring,
+        plan: EbePlan,
+        compact: CompactElements,
+        fixed: Vec<bool>,
+    }
+
+    fn fixture() -> Fixture {
         let p = problem();
         let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let op_c = CompactEbe::new(
+        let plan = EbePlan::new(
             p.n_nodes(),
             &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (a.c_m, a.c_k, a.c_b),
-            &fixed,
             &coloring,
-            false,
-            1,
+            &p.dashpots.faces,
         );
-        let data = EbeData {
-            n_nodes: p.n_nodes(),
-            elems: &p.model.mesh.elems,
-            me: &p.elements.me,
-            ke: &p.elements.ke,
-            faces: &p.dashpots.faces,
-            cb: &p.dashpots.cb,
-            c_m: a.c_m,
-            c_k: a.c_k,
-            c_b: a.c_b,
-            fixed: &fixed,
-        };
-        let op_m = EbeOperator::new(data, &coloring, false);
-        let n = p.n_dofs();
+        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
+        let fixed = as_slice(&p.mask);
+        Fixture {
+            p,
+            coloring,
+            plan,
+            compact,
+            fixed,
+        }
+    }
+
+    impl Fixture {
+        /// The system operator `A` with `r` fused cases.
+        fn op(&self, parallel: bool, r: usize) -> CompactEbe<'_> {
+            let a = self.p.a_coeffs();
+            CompactEbe::new(
+                &self.plan,
+                &self.compact,
+                &self.p.dashpots.cb,
+                (a.c_m, a.c_k, a.c_b),
+                &self.fixed,
+                parallel,
+                r,
+            )
+        }
+
+        fn cached(&self) -> EbeOperator<'_> {
+            let a = self.p.a_coeffs();
+            let data = EbeData {
+                n_nodes: self.p.n_nodes(),
+                elems: &self.p.model.mesh.elems,
+                me: &self.p.elements.me,
+                ke: &self.p.elements.ke,
+                faces: &self.p.dashpots.faces,
+                cb: &self.p.dashpots.cb,
+                c_m: a.c_m,
+                c_k: a.c_k,
+                c_b: a.c_b,
+                fixed: &self.fixed,
+            };
+            EbeOperator::new(data, &self.coloring, false)
+        }
+    }
+
+    /// Interleaved `r`-case input with distinct values per case.
+    fn input(n: usize, r: usize) -> Vec<f64> {
+        let mut x = vec![0.0; n * r];
+        for c in 0..r {
+            for i in 0..n {
+                x[i * r + c] = ((i * (c + 3)) as f64 * 0.23).sin();
+            }
+        }
+        x
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn compact_matches_cached_matrices() {
+        let fx = fixture();
+        let op_c = fx.op(false, 1);
+        let op_m = fx.cached();
+        let n = fx.p.n_dofs();
         let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
@@ -596,131 +874,84 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let p = problem();
-        let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let mk = |par: bool| {
-            CompactEbe::new(
-                p.n_nodes(),
-                &p.model.mesh.elems,
-                &compact,
-                &p.dashpots.faces,
-                &p.dashpots.cb,
-                (a.c_m, a.c_k, a.c_b),
-                &fixed,
-                &coloring,
-                par,
-                1,
-            )
-        };
-        let n = p.n_dofs();
+        let fx = fixture();
+        let n = fx.p.n_dofs();
         let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).cos()).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
-        mk(false).apply(&x, &mut y1);
-        mk(true).apply(&x, &mut y2);
-        for i in 0..n {
-            assert!((y1[i] - y2[i]).abs() < 1e-12);
-        }
+        fx.op(false, 1).apply(&x, &mut y1);
+        fx.op(true, 1).apply(&x, &mut y2);
+        assert_eq!(bits(&y1), bits(&y2));
     }
 
+    /// Each case of a fused apply is bitwise the single-case apply: the
+    /// per-case operation order does not depend on `r`.
     #[test]
     fn multi_rhs_matches_single() {
-        let p = problem();
-        let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let n = p.n_dofs();
-        let single = CompactEbe::new(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (a.c_m, a.c_k, a.c_b),
-            &fixed,
-            &coloring,
-            false,
-            1,
-        );
-        for r in [2usize, 4] {
-            let multi = CompactEbe::new(
-                p.n_nodes(),
-                &p.model.mesh.elems,
-                &compact,
-                &p.dashpots.faces,
-                &p.dashpots.cb,
-                (a.c_m, a.c_k, a.c_b),
-                &fixed,
-                &coloring,
-                true,
-                r,
-            );
-            let mut x = vec![0.0; n * r];
-            for c in 0..r {
-                for i in 0..n {
-                    x[i * r + c] = ((i * (c + 3)) as f64 * 0.23).sin();
-                }
-            }
+        let fx = fixture();
+        let n = fx.p.n_dofs();
+        let single = fx.op(false, 1);
+        for r in [2usize, 4, 8] {
+            let x = input(n, r);
             let mut y = vec![0.0; n * r];
-            multi.apply_multi(&x, &mut y);
+            fx.op(true, r).apply_multi(&x, &mut y);
             for c in 0..r {
                 let xc: Vec<f64> = (0..n).map(|i| x[i * r + c]).collect();
                 let mut yc = vec![0.0; n];
                 single.apply(&xc, &mut yc);
-                let scale = yc.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-                for i in 0..n {
-                    assert!(
-                        (y[i * r + c] - yc[i]).abs() < 1e-9 * scale,
-                        "r={r} case {c} dof {i}"
-                    );
-                }
+                let yr: Vec<f64> = (0..n).map(|i| y[i * r + c]).collect();
+                assert_eq!(bits(&yr), bits(&yc), "r={r} case {c}");
             }
         }
     }
 
+    /// The runtime-selected kernels (the AVX2 lanes on hosts that have
+    /// them) are bitwise-equal to the scalar reference, with a Dirichlet
+    /// mask and the dashpot faces active, for every fused width.
+    #[test]
+    fn dispatched_matches_scalar_bitwise() {
+        let fx = fixture();
+        let n = fx.p.n_dofs();
+        assert!(fx.fixed.iter().any(|&f| f), "fixture has Dirichlet DOFs");
+        assert!(!fx.plan.faces().is_empty(), "fixture has dashpot faces");
+        for r in [1usize, 2, 4, 8] {
+            let op = fx.op(false, r);
+            assert!(op.c_b != 0.0);
+            let x = input(n, r);
+            let mut fast = vec![0.0; n * r];
+            let mut reference = vec![0.0; n * r];
+            op.dispatch(&x, &mut fast, true);
+            op.dispatch(&x, &mut reference, false);
+            assert_eq!(bits(&fast), bits(&reference), "r={r}");
+        }
+        // mass-only (no stiffness, no faces) and no mask: the RHS operators
+        let m = CompactEbe::new(
+            &fx.plan,
+            &fx.compact,
+            &fx.p.dashpots.cb,
+            (1.0, 0.0, 0.0),
+            &[],
+            false,
+            4,
+        );
+        let x = input(n, 4);
+        let mut fast = vec![0.0; n * 4];
+        let mut reference = vec![0.0; n * 4];
+        m.dispatch(&x, &mut fast, true);
+        m.dispatch(&x, &mut reference, false);
+        assert_eq!(bits(&fast), bits(&reference), "mass only");
+    }
+
     #[test]
     fn diagonal_blocks_match_cached_ebe() {
-        let p = problem();
-        let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let op_c = CompactEbe::new(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (a.c_m, a.c_k, a.c_b),
-            &fixed,
-            &coloring,
-            false,
-            1,
-        );
-        let data = EbeData {
-            n_nodes: p.n_nodes(),
-            elems: &p.model.mesh.elems,
-            me: &p.elements.me,
-            ke: &p.elements.ke,
-            faces: &p.dashpots.faces,
-            cb: &p.dashpots.cb,
-            c_m: a.c_m,
-            c_k: a.c_k,
-            c_b: a.c_b,
-            fixed: &fixed,
-        };
-        let op_m = EbeOperator::new(data, &coloring, false);
-        let d1 = op_c.diagonal_blocks();
-        let d2 = op_m.diagonal_blocks();
+        let fx = fixture();
+        let d1 = fx.op(false, 1).diagonal_blocks();
+        let d2 = fx.cached().diagonal_blocks();
         let scale = d2
             .iter()
             .flat_map(|b| b.iter())
             .fold(0.0f64, |m, v| m.max(v.abs()));
-        for n in 0..p.n_nodes() {
+        for n in 0..fx.p.n_nodes() {
             for k in 0..9 {
                 assert!(
                     (d1[n][k] - d2[n][k]).abs() < 1e-9 * scale,
@@ -732,9 +963,9 @@ mod tests {
         }
     }
 
-    /// The constructor's coloring validator fires before any scatter: a
-    /// coloring whose first group holds node-sharing elements panics with
-    /// the offending pair.
+    /// The plan's coloring validator fires before any scatter: a coloring
+    /// whose first group holds node-sharing elements panics with the
+    /// offending pair.
     #[test]
     #[should_panic(expected = "would race")]
     fn rejects_corrupted_coloring() {
@@ -746,19 +977,22 @@ mod tests {
         }
         coloring.groups[0].extend(moved);
         coloring.n_colors -= 1;
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let _ = CompactEbe::new(
+        let _ = EbePlan::new(
             p.n_nodes(),
             &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (1.0, 1.0, 0.0),
-            &[],
             &coloring,
-            true,
-            1,
+            &p.dashpots.faces,
         );
+    }
+
+    /// Input and output lengths are checked before the scatter writes.
+    #[test]
+    #[should_panic(expected = "output length")]
+    fn rejects_short_output() {
+        let fx = fixture();
+        let n = fx.p.n_dofs();
+        let mut y = vec![0.0; n - 1];
+        fx.op(false, 1).apply(&vec![0.0; n], &mut y);
     }
 
     #[test]

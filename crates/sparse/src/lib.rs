@@ -31,6 +31,7 @@ pub mod error;
 pub mod mcg;
 pub mod op;
 pub mod parcheck;
+pub mod simd;
 pub mod sym;
 pub mod vecops;
 
@@ -46,4 +47,4 @@ pub use error::SolveError;
 pub use hetsolve_obs::{NoopObserver, ResidualLog, SolveObserver, Termination};
 pub use mcg::{mcg, mcg_masked, mcg_masked_observed, mcg_observed, McgStats};
 pub use op::{KernelCounts, LinearOperator, MultiOperator, Preconditioner};
-pub use parcheck::ColorScatter;
+pub use parcheck::{ColorScatter, ColoredConnectivity};

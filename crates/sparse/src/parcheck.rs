@@ -16,9 +16,12 @@
 //!
 //! * it owns the **single audited `unsafe impl Send`/`Sync` pair in the
 //!   workspace** (`cargo xtask lint` fails the build if another appears);
-//! * constructors of the EBE operators call
-//!   [`hetsolve_mesh::coloring::validate_groups`] once, so a structurally
-//!   broken coloring fails loudly at build time of the operator;
+//! * the coloring is checked by
+//!   [`hetsolve_mesh::coloring::validate_groups`] before any scatter: the
+//!   stored-matrix EBE operators call it in their constructors, and the
+//!   compact operator borrows a [`ColoredConnectivity`], which only that
+//!   check can construct, so a structurally broken coloring fails loudly
+//!   before the operator exists;
 //! * under `cfg(debug_assertions)` or the `racecheck` feature, every write
 //!   is recorded in an epoch-tagged per-slot claim table and a same-pass
 //!   overlap panics with both writer ids — catching colorings that pass
@@ -47,6 +50,8 @@
 //! instead of silent UB.
 
 use std::marker::PhantomData;
+
+use hetsolve_mesh::{validate_groups, ColoringConflict};
 
 #[cfg(any(debug_assertions, feature = "racecheck"))]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,6 +141,9 @@ impl<'a> ColorScatter<'a> {
     pub unsafe fn add(&self, owner: u32, slot: usize, v: f64) {
         #[cfg(any(debug_assertions, feature = "racecheck"))]
         self.claim(owner, slot);
+        // Only the claim table reads the owner id.
+        #[cfg(not(any(debug_assertions, feature = "racecheck")))]
+        let _ = owner;
         debug_assert!(
             slot < self.len,
             "scatter slot {slot} out of bounds ({})",
@@ -175,6 +183,56 @@ impl<'a> ColorScatter<'a> {
                 self.epoch,
             );
         }
+    }
+}
+
+/// A connectivity together with a coloring of it that passed
+/// [`validate_groups`]: within each group no two entities share a node,
+/// and every node id is below `n_nodes`. That is the race-freedom
+/// precondition of [`ColorScatter::add`], checked once.
+///
+/// [`Self::validate`] is the only constructor and the fields are private,
+/// so holding a value is proof of the check. The connectivity is copied
+/// in, so later edits of the arrays it was validated against cannot
+/// invalidate it. Operators borrow it instead of re-validating on every
+/// construction.
+#[derive(Debug, Clone)]
+pub struct ColoredConnectivity<const K: usize> {
+    n_nodes: usize,
+    conn: Vec<[u32; K]>,
+    groups: Vec<Vec<u32>>,
+}
+
+impl<const K: usize> ColoredConnectivity<K> {
+    /// Validate `groups` over `conn` (`K` nodes per entity, node ids below
+    /// `n_nodes`); the error names the first pair of same-group entities
+    /// that share a node.
+    pub fn validate(
+        n_nodes: usize,
+        conn: &[[u32; K]],
+        groups: Vec<Vec<u32>>,
+    ) -> Result<Self, ColoringConflict> {
+        validate_groups(n_nodes, conn, &groups)?;
+        Ok(ColoredConnectivity {
+            n_nodes,
+            conn: conn.to_vec(),
+            groups,
+        })
+    }
+
+    /// Nodes the connectivity indexes (every node id is below this).
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// Entity → node ids.
+    pub fn conn(&self) -> &[[u32; K]] {
+        &self.conn
+    }
+
+    /// Color groups: entity ids whose node sets are pairwise disjoint.
+    pub fn groups(&self) -> &[Vec<u32>] {
+        &self.groups
     }
 }
 
@@ -218,6 +276,21 @@ mod tests {
             scatter.add(3, 2, 1.5);
         }
         assert_eq!(y[2], 3.0);
+    }
+
+    /// Validation accepts a proper coloring and keeps what it checked;
+    /// a shared node or an out-of-range node id is rejected.
+    #[test]
+    fn colored_connectivity_validates_once() {
+        let conn = [[0u32, 1], [1, 2], [3, 4]];
+        let ok = ColoredConnectivity::validate(5, &conn, vec![vec![0, 2], vec![1]])
+            .expect("disjoint groups");
+        assert_eq!(ok.n_nodes(), 5);
+        assert_eq!(ok.conn(), &conn);
+        assert_eq!(ok.groups(), &[vec![0, 2], vec![1]]);
+        let err = ColoredConnectivity::validate(5, &conn, vec![vec![0, 1, 2]]).unwrap_err();
+        assert_eq!(err.node, 1);
+        assert!(ColoredConnectivity::validate(4, &conn, vec![vec![2]]).is_err());
     }
 
     #[test]

@@ -70,6 +70,10 @@ pub fn sym2_matvec_add(ca: f64, a: &[f64], cb: f64, b: &[f64], x: &[f64], y: &mu
 /// right-hand sides stored interleaved (`x[i*R + r]`). Each matrix entry is
 /// loaded once and applied to all `R` vectors — this is the "EBE with
 /// multiple right-hand sides" kernel of the paper's Eq. (9).
+///
+/// Always inlined, so a caller compiled for AVX2 runs the `R` loops as
+/// SIMD lanes.
+#[inline(always)]
 pub fn sym2_matvec_add_multi<const R: usize>(
     ca: f64,
     a: &[f64],

@@ -69,28 +69,29 @@ pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
 
 /// Per-case dot products of interleaved multi-vectors:
 /// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`.
+///
+/// Long vectors are summed in chunks of `4096 * r` values whose partial
+/// sums are added in chunk order, so the result does not depend on the
+/// thread count.
 pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
+    dot_multi_with(x, y, r, out, true)
+}
+
+/// [`dot_multi`]; `simd == false` forces the scalar reference kernels.
+fn dot_multi_with(x: &[f64], y: &[f64], r: usize, out: &mut [f64], simd: bool) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len() % r, 0);
     debug_assert_eq!(out.len(), r);
     out.fill(0.0);
     if x.len() < PAR_THRESHOLD {
-        for (xc, yc) in x.chunks_exact(r).zip(y.chunks_exact(r)) {
-            for c in 0..r {
-                out[c] += xc[c] * yc[c];
-            }
-        }
+        add_dot_rows(x, y, r, out, simd);
     } else {
         let partials: Vec<Vec<f64>> = x
             .par_chunks(4096 * r)
             .zip(y.par_chunks(4096 * r))
             .map(|(xc, yc)| {
                 let mut acc = vec![0.0; r];
-                for (xr, yr) in xc.chunks_exact(r).zip(yc.chunks_exact(r)) {
-                    for c in 0..r {
-                        acc[c] += xr[c] * yr[c];
-                    }
-                }
+                add_dot_rows(xc, yc, r, &mut acc, simd);
                 acc
             })
             .collect();
@@ -106,46 +107,163 @@ pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
 /// Cases with `active[c] == false` are left untouched (used to freeze
 /// converged cases in the multi-RHS CG).
 pub fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
+    axpy_multi_with(alpha, x, y, r, active, true)
+}
+
+/// [`axpy_multi`]; `simd == false` forces the scalar reference kernels.
+fn axpy_multi_with(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[bool], simd: bool) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(alpha.len(), r);
     debug_assert_eq!(active.len(), r);
-    let body = |yc: &mut [f64], xc: &[f64]| {
-        for (yr, xr) in yc.chunks_exact_mut(r).zip(xc.chunks_exact(r)) {
-            for c in 0..r {
-                if active[c] {
-                    yr[c] += alpha[c] * xr[c];
-                }
-            }
-        }
-    };
     if x.len() < PAR_THRESHOLD {
-        body(y, x);
+        axpy_rows(alpha, x, y, r, active, simd);
     } else {
         y.par_chunks_mut(4096 * r)
             .zip(x.par_chunks(4096 * r))
-            .for_each(|(yc, xc)| body(yc, xc));
+            .for_each(|(yc, xc)| axpy_rows(alpha, xc, yc, r, active, simd));
     }
 }
 
 /// Per-case `y[.,c] = x[.,c] + beta[c] * y[.,c]` on interleaved
 /// multi-vectors, skipping inactive cases.
 pub fn xpby_multi(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
+    xpby_multi_with(x, beta, y, r, active, true)
+}
+
+/// [`xpby_multi`]; `simd == false` forces the scalar reference kernels.
+fn xpby_multi_with(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool], simd: bool) {
     debug_assert_eq!(x.len(), y.len());
-    let body = |yc: &mut [f64], xc: &[f64]| {
-        for (yr, xr) in yc.chunks_exact_mut(r).zip(xc.chunks_exact(r)) {
-            for c in 0..r {
-                if active[c] {
-                    yr[c] = xr[c] + beta[c] * yr[c];
-                }
-            }
-        }
-    };
+    debug_assert_eq!(beta.len(), r);
+    debug_assert_eq!(active.len(), r);
     if x.len() < PAR_THRESHOLD {
-        body(y, x);
+        xpby_rows(x, beta, y, r, active, simd);
     } else {
         y.par_chunks_mut(4096 * r)
             .zip(x.par_chunks(4096 * r))
-            .for_each(|(yc, xc)| body(yc, xc));
+            .for_each(|(yc, xc)| xpby_rows(xc, beta, yc, r, active, simd));
+    }
+}
+
+/// When `$simd` is set, the host has AVX2 and `$r` is a fused width
+/// (1, 2, 4, 8), run `$lanes::<R>($args)` and return from the enclosing
+/// function; otherwise fall through to the scalar code that follows.
+macro_rules! avx2_lanes {
+    ($simd:expr, $r:expr, $lanes:ident($($arg:expr),*)) => {
+        #[cfg(target_arch = "x86_64")]
+        if $simd && crate::simd::avx2() {
+            // SAFETY: `simd::avx2()` just confirmed at run time that the
+            // host supports AVX2, the only precondition of `$lanes`.
+            unsafe {
+                match $r {
+                    1 => return $lanes::<1>($($arg),*),
+                    2 => return $lanes::<2>($($arg),*),
+                    4 => return $lanes::<4>($($arg),*),
+                    8 => return $lanes::<8>($($arg),*),
+                    _ => {}
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = $simd;
+    };
+}
+pub(crate) use avx2_lanes;
+
+/// `acc[c] += Σ_i x[i*r+c] * y[i*r+c]`, rows in order.
+fn add_dot_rows(x: &[f64], y: &[f64], r: usize, acc: &mut [f64], simd: bool) {
+    avx2_lanes!(simd, r, add_dot_avx2(x, y, acc));
+    for (xc, yc) in x.chunks_exact(r).zip(y.chunks_exact(r)) {
+        for c in 0..r {
+            acc[c] += xc[c] * yc[c];
+        }
+    }
+}
+
+/// [`add_dot_rows`] with the `R` cases as SIMD lanes.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn add_dot_avx2<const R: usize>(x: &[f64], y: &[f64], acc: &mut [f64]) {
+    let mut lanes: [f64; R] = acc.try_into().expect("one accumulator per case");
+    for (xr, yr) in x.as_chunks::<R>().0.iter().zip(y.as_chunks::<R>().0) {
+        for c in 0..R {
+            lanes[c] += xr[c] * yr[c];
+        }
+    }
+    acc.copy_from_slice(&lanes);
+}
+
+/// `y[.,c] += alpha[c] * x[.,c]` for the active cases.
+fn axpy_rows(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[bool], simd: bool) {
+    avx2_lanes!(simd, r, axpy_avx2(alpha, x, y, active));
+    for (yr, xr) in y.chunks_exact_mut(r).zip(x.chunks_exact(r)) {
+        for c in 0..r {
+            if active[c] {
+                yr[c] += alpha[c] * xr[c];
+            }
+        }
+    }
+}
+
+/// [`axpy_rows`] with the `R` cases as SIMD lanes: every lane
+/// computes the update and inactive lanes keep their old value.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn axpy_avx2<const R: usize>(alpha: &[f64], x: &[f64], y: &mut [f64], active: &[bool]) {
+    let alpha: [f64; R] = alpha.try_into().expect("one alpha per case");
+    let active: [bool; R] = active.try_into().expect("one flag per case");
+    for (yr, xr) in y
+        .as_chunks_mut::<R>()
+        .0
+        .iter_mut()
+        .zip(x.as_chunks::<R>().0)
+    {
+        for c in 0..R {
+            let v = yr[c] + alpha[c] * xr[c];
+            yr[c] = if active[c] { v } else { yr[c] };
+        }
+    }
+}
+
+/// `y[.,c] = x[.,c] + beta[c] * y[.,c]` for the active cases.
+fn xpby_rows(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool], simd: bool) {
+    avx2_lanes!(simd, r, xpby_avx2(x, beta, y, active));
+    for (yr, xr) in y.chunks_exact_mut(r).zip(x.chunks_exact(r)) {
+        for c in 0..r {
+            if active[c] {
+                yr[c] = xr[c] + beta[c] * yr[c];
+            }
+        }
+    }
+}
+
+/// [`xpby_rows`] with the `R` cases as SIMD lanes.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn xpby_avx2<const R: usize>(x: &[f64], beta: &[f64], y: &mut [f64], active: &[bool]) {
+    let beta: [f64; R] = beta.try_into().expect("one beta per case");
+    let active: [bool; R] = active.try_into().expect("one flag per case");
+    for (yr, xr) in y
+        .as_chunks_mut::<R>()
+        .0
+        .iter_mut()
+        .zip(x.as_chunks::<R>().0)
+    {
+        for c in 0..R {
+            let v = xr[c] + beta[c] * yr[c];
+            yr[c] = if active[c] { v } else { yr[c] };
+        }
     }
 }
 
@@ -244,6 +362,72 @@ mod tests {
         let mut other = vec![1.0; n];
         extract_case(&x, r, 0, &mut other);
         assert!(other.iter().all(|&o| o == 0.0));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The runtime-selected multi-vector kernels (the AVX2 lanes on hosts
+    /// that have them) are bitwise-equal to the scalar reference: every
+    /// fused width plus a non-lane width, lengths below and above the
+    /// `4096 * r` chunk (and the sequential threshold), inactive columns.
+    #[test]
+    fn multi_ops_dispatched_match_scalar_bitwise() {
+        for r in [1usize, 2, 3, 4, 8] {
+            for rows in [7, 4096, 4096 + 13, PAR_THRESHOLD / r + 5, 3 * 4096 + 1] {
+                let len = rows * r;
+                let x: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+                let y0: Vec<f64> = (0..len).map(|i| (i as f64 * 0.11).cos()).collect();
+                let coef: Vec<f64> = (0..r).map(|c| 0.5 - 0.3 * c as f64).collect();
+                let active: Vec<bool> = (0..r).map(|c| r == 1 || c % 3 != 1).collect();
+                let ctx = format!("r={r} len={len}");
+
+                let mut fast = vec![0.0; r];
+                let mut reference = vec![0.0; r];
+                dot_multi_with(&x, &y0, r, &mut fast, true);
+                dot_multi_with(&x, &y0, r, &mut reference, false);
+                assert_eq!(bits(&fast), bits(&reference), "dot {ctx}");
+
+                let mut fast = y0.clone();
+                let mut reference = y0.clone();
+                axpy_multi_with(&coef, &x, &mut fast, r, &active, true);
+                axpy_multi_with(&coef, &x, &mut reference, r, &active, false);
+                assert_eq!(bits(&fast), bits(&reference), "axpy {ctx}");
+
+                let mut fast = y0.clone();
+                let mut reference = y0.clone();
+                xpby_multi_with(&x, &coef, &mut fast, r, &active, true);
+                xpby_multi_with(&x, &coef, &mut reference, r, &active, false);
+                assert_eq!(bits(&fast), bits(&reference), "xpby {ctx}");
+                for (i, (&f, &y)) in fast.iter().zip(&y0).enumerate() {
+                    if !active[i % r] {
+                        assert_eq!(f.to_bits(), y.to_bits(), "inactive column {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inactive columns keep their exact bits even when the frozen
+    /// coefficient is non-finite (a lane kernel computes and discards it).
+    #[test]
+    fn inactive_lanes_ignore_poisoned_coefficients() {
+        let r = 4;
+        let x = vec![1.0; 8 * r];
+        let y0: Vec<f64> = (0..8 * r).map(|i| -(i as f64)).collect();
+        let coef = [2.0, f64::NAN, f64::INFINITY, -0.5];
+        let active = [true, false, false, true];
+        let mut y = y0.clone();
+        axpy_multi(&coef, &x, &mut y, r, &active);
+        xpby_multi(&x, &coef, &mut y, r, &active);
+        for (i, (&v, &v0)) in y.iter().zip(&y0).enumerate() {
+            if !active[i % r] {
+                assert_eq!(v.to_bits(), v0.to_bits());
+            } else {
+                assert!(v.is_finite());
+            }
+        }
     }
 
     #[test]
