@@ -22,7 +22,7 @@ use hetsolve_machine::{SystemClock, WallClock};
 
 use crate::backend::Backend;
 use crate::checkpoint::{ConfigFingerprint, RunCheckpoint};
-use crate::methods::{EbeRunCtx, EbeRunState, MethodKind, RunConfig, RunResult};
+use crate::methods::{check_fused_width, EbeRunCtx, EbeRunState, MethodKind, RunConfig, RunResult};
 use crate::recovery::RunError;
 use crate::trace::StepTracer;
 
@@ -103,6 +103,7 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
     policy: CheckpointPolicy,
     wall: &C,
 ) -> Result<DurableOutcome, RunError> {
+    check_fused_width(cfg.r)?;
     let mut run_cfg = cfg.clone();
     run_cfg.method = MethodKind::EbeMcgCpuGpu;
     let fp = ConfigFingerprint::of(backend, &run_cfg);
@@ -207,7 +208,7 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
         }
     }
 
-    let result = st.into_result(backend, &run_cfg);
+    let result = st.into_result(&run_cfg);
     tracer.finish_run(&result, run_cfg.measure_from);
     Ok(DurableOutcome {
         result,

@@ -30,6 +30,7 @@ pub mod checkpoint;
 pub mod durable;
 pub mod ensemble;
 pub mod integrity;
+pub mod lane;
 pub mod methods;
 pub mod multinode;
 pub mod nonlinear_run;
@@ -55,6 +56,7 @@ pub use integrity::{
     operator_crc, operator_guard, rhs_guard, scrub_state, CorruptTarget, CorruptionAction,
     CorruptionReport, IntegrityConfig, OperatorPayload, StateGuard,
 };
+pub use lane::{ColumnFate, ColumnSpec, FusedLane};
 pub use methods::{
     driver_cg_config, run, run_faulted, run_traced, MethodKind, RunConfig, RunResult, StepRecord,
     WindowPolicy,

@@ -24,10 +24,11 @@ use hetsolve_sparse::{CgConfig, KernelCounts};
 
 use crate::backend::{Backend, RhsScratch};
 use crate::integrity::{
-    basis_sentinel, boundary_guard, operator_crc, operator_guard, rhs_guard, scrub_state,
-    CorruptTarget, CorruptionReport, IntegrityConfig, OperatorPayload,
+    basis_sentinel, boundary_guard, operator_crc, operator_guard, rhs_guard, CorruptTarget,
+    CorruptionReport, IntegrityConfig, OperatorPayload,
 };
-use crate::recovery::{solve_set_with_ladder, solve_with_ladder, RecoveryEvent, RunError};
+use crate::lane::{advance_column, ColumnFate, ColumnSpec, FusedLane};
+use crate::recovery::{solve_with_ladder, RecoveryEvent, RunError};
 use crate::slot::CaseSlot;
 use crate::trace::StepTracer;
 
@@ -77,11 +78,29 @@ pub fn driver_cg_config(tol: f64) -> CgConfig {
 }
 
 /// Is this step one of the periodic predictor-basis audit boundaries?
-fn check_basis_at(integ: &IntegrityConfig, step: usize) -> bool {
+pub(crate) fn check_basis_at(integ: &IntegrityConfig, step: usize) -> bool {
     integ.detect
         && integ.basis_check_every > 0
         && step > 0
         && step.is_multiple_of(integ.basis_check_every)
+}
+
+/// CG configuration of a solve's first attempt: `cfg`, with its iteration
+/// cap lowered by an injected solver fault of `(step, set)`. The recovery
+/// ladder's retries use the clean `cfg`.
+pub(crate) fn first_attempt_cfg<F: FaultInjector>(
+    faults: &mut F,
+    step: usize,
+    set: usize,
+    cfg: &CgConfig,
+) -> CgConfig {
+    match faults.solver_fault(step, set) {
+        Some(sf) => CgConfig {
+            max_iter: sf.max_iter.min(cfg.max_iter),
+            ..*cfg
+        },
+        None => *cfg,
+    }
 }
 
 /// Map a fault-plan lane onto the machine model's lane kind.
@@ -328,7 +347,9 @@ pub fn run_faulted<F: FaultInjector>(
     tracer: &mut StepTracer,
     faults: &mut F,
 ) -> Result<RunResult, RunError> {
-    if cfg.method != MethodKind::EbeMcgCpuGpu && !backend.has_crs() {
+    if cfg.method == MethodKind::EbeMcgCpuGpu {
+        check_fused_width(cfg.r)?;
+    } else if !backend.has_crs() {
         return Err(RunError::Config {
             message: format!(
                 "method {} needs assembled matrices, but the backend was built \
@@ -349,6 +370,19 @@ pub fn run_faulted<F: FaultInjector>(
     }?;
     tracer.finish_run(&result, cfg.measure_from);
     Ok(result)
+}
+
+/// The EBE-MCG drivers fuse `r` cases per process set into one
+/// matrix-free solve, which exists only for the widths [`CompactEbe`]
+/// implements; any other `r` is a typed configuration error at driver
+/// entry.
+pub(crate) fn check_fused_width(r: usize) -> Result<(), RunError> {
+    if CompactEbe::supports_width(r) {
+        return Ok(());
+    }
+    Err(RunError::Config {
+        message: format!("fused width r = {r} is not supported; EBE-MCG fuses 1, 2, 4 or 8 cases"),
+    })
 }
 
 /// Algorithm 2: single case, single device, Adams-Bashforth predictor.
@@ -430,13 +464,7 @@ fn run_crs_single<F: FaultInjector>(
             vf.apply(&mut x);
             guess_faulted = true;
         }
-        let first_cfg = match faults.solver_fault(step, 0) {
-            Some(sf) => CgConfig {
-                max_iter: sf.max_iter.min(cg_cfg.max_iter),
-                ..cg_cfg
-            },
-            None => cg_cfg,
-        };
+        let first_cfg = first_attempt_cfg(faults, step, 0, &cg_cfg);
         let before = recoveries.len();
         // ladder: the first attempt starts from the (possibly corrupted)
         // AB guess; only a corrupted guess makes the AB rung distinct.
@@ -470,15 +498,14 @@ fn run_crs_single<F: FaultInjector>(
         if let Some(lf) = faults.lane_fault(step, 0) {
             t += tracer.charge_stall(&mut clock, 0, lane_kind(lf.lane), lf.seconds);
         }
-        case.advance(backend, &x, &ab_guess, faults.snapshot_fault(step, 0));
-        if detect {
-            if let Some(field) = scrub_state(&case) {
-                return Err(RunError::Corruption {
-                    step,
-                    case: Some(0),
-                    target: CorruptTarget::State(field).label(),
-                });
-            }
+        let snapshot = faults.snapshot_fault(step, 0);
+        let fate = advance_column(backend, &mut case, &x, &ab_guess, snapshot, detect);
+        if let ColumnFate::Corrupt(field) = fate {
+            return Err(RunError::Corruption {
+                step,
+                case: Some(0),
+                target: CorruptTarget::State(field).label(),
+            });
         }
         if cfg.record_surface {
             case.record_waveform(&obs);
@@ -613,13 +640,7 @@ fn run_crs_pipelined<F: FaultInjector>(
                 vf.apply(&mut x);
                 guess_faulted = true;
             }
-            let first_cfg = match faults.solver_fault(step, set) {
-                Some(sf) => CgConfig {
-                    max_iter: sf.max_iter.min(cg_cfg.max_iter),
-                    ..cg_cfg
-                },
-                None => cg_cfg,
-            };
+            let first_cfg = first_attempt_cfg(faults, step, set, &cg_cfg);
             let before = recoveries.len();
             // the AB rung is distinct whenever the first attempt started
             // from a data-driven guess (s_used > 0) or a corrupted one
@@ -664,17 +685,17 @@ fn run_crs_pipelined<F: FaultInjector>(
                     FaultLane::Gpu => stall_solver += stall,
                 }
             }
-            if !case.advance(backend, &x, &ab_guess, faults.snapshot_fault(step, set)) {
-                history_poisoned = true;
-            }
-            if detect {
-                if let Some(field) = scrub_state(case) {
+            let snapshot = faults.snapshot_fault(step, set);
+            match advance_column(backend, case, &x, &ab_guess, snapshot, detect) {
+                ColumnFate::Corrupt(field) => {
                     return Err(RunError::Corruption {
                         step,
                         case: Some(set),
                         target: CorruptTarget::State(field).label(),
                     });
                 }
+                ColumnFate::Advanced { history_ok } => history_poisoned |= !history_ok,
+                ColumnFate::Vacant | ColumnFate::Failed => {}
             }
             if cfg.record_surface {
                 case.record_waveform(&obs);
@@ -708,15 +729,7 @@ fn run_crs_pipelined<F: FaultInjector>(
         });
     }
 
-    Ok(finish(
-        backend,
-        cfg,
-        cases,
-        records,
-        clock,
-        recoveries,
-        corruptions,
-    ))
+    Ok(finish(cfg, cases, records, clock, recoveries, corruptions))
 }
 
 /// Algorithm 3 (the proposal): 2 sets × r cases, matrix-free multi-RHS CG
@@ -733,15 +746,14 @@ fn run_ebe_mcg<F: FaultInjector>(
     while st.step < cfg.n_steps {
         st.step_once(backend, cfg, tracer, faults, &ctx)?;
     }
-    Ok(st.into_result(backend, cfg))
+    Ok(st.into_result(cfg))
 }
 
-/// Immutable per-run context of the EBE-MCG driver: the matrix-free
-/// operator and kernel costs borrowed from the backend, the CG settings,
-/// and the observation DOFs. Rebuilt identically from `(backend, cfg)` on
-/// every (re)start, so none of it belongs in a checkpoint.
-pub(crate) struct EbeRunCtx<'a> {
-    op: CompactEbe<'a>,
+/// Immutable per-run context of the EBE-MCG driver: kernel costs and CG
+/// settings, and the observation DOFs. Rebuilt identically from
+/// `(backend, cfg)` on every (re)start, so none of it belongs in a
+/// checkpoint.
+pub(crate) struct EbeRunCtx {
     rhs_counts: KernelCounts,
     cg_cfg: CgConfig,
     obs: Vec<usize>,
@@ -750,10 +762,9 @@ pub(crate) struct EbeRunCtx<'a> {
     op_crc: u32,
 }
 
-impl<'a> EbeRunCtx<'a> {
-    pub(crate) fn new(backend: &'a Backend, cfg: &RunConfig) -> Self {
+impl EbeRunCtx {
+    pub(crate) fn new(backend: &Backend, cfg: &RunConfig) -> Self {
         EbeRunCtx {
-            op: backend.ebe_a(cfg.r),
             rhs_counts: backend.rhs_counts_ebe(cfg.r),
             cg_cfg: driver_cg_config(cfg.tol),
             obs: backend.problem.surface_dofs_z(),
@@ -763,13 +774,13 @@ impl<'a> EbeRunCtx<'a> {
 }
 
 /// Mutable state of an EBE-MCG run at a step boundary — exactly what a
-/// crash-consistent checkpoint must persist. The `scratch`/`f_multi`/
-/// `x_multi` buffers are excluded on purpose: every step fully rewrites
-/// them before reading, so a resumed run is bitwise-identical without
-/// them. Both the uninterrupted driver ([`run_ebe_mcg`]) and the durable
-/// driver ([`crate::durable::run_durable`]) advance through the same
-/// [`EbeRunState::step_once`], which is what makes the replay-determinism
-/// claim structural rather than coincidental.
+/// crash-consistent checkpoint must persist, plus the [`FusedLane`] whose
+/// buffers every step fully rewrites before reading (so a resumed run is
+/// bitwise-identical without them). Both the uninterrupted driver
+/// ([`run_ebe_mcg`]) and the durable driver
+/// ([`crate::durable::run_durable`]) advance through the same
+/// [`EbeRunState::step_once`], which runs the two process sets through the
+/// same fused lane step as the serving layer and the realtime driver.
 pub(crate) struct EbeRunState {
     pub(crate) cases: Vec<CaseSlot>,
     pub(crate) clock: ModuleClock,
@@ -779,23 +790,18 @@ pub(crate) struct EbeRunState {
     pub(crate) corruptions: Vec<CorruptionReport>,
     /// Next step boundary to execute (`records.len()` on a healthy run).
     pub(crate) step: usize,
-    scratch: RhsScratch,
-    f_multi: Vec<f64>,
-    x_multi: Vec<f64>,
+    lane: FusedLane,
 }
 
 impl EbeRunState {
     pub(crate) fn new(backend: &Backend, cfg: &RunConfig) -> Self {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let n_cases = 2 * r;
         let n_obs = if cfg.record_surface {
             backend.problem.surface_dofs_z().len()
         } else {
             0
         };
         EbeRunState {
-            cases: (0..n_cases)
+            cases: (0..2 * cfg.r)
                 .map(|c| CaseSlot::new(backend, cfg, c, n_obs))
                 .collect(),
             clock: ModuleClock::new(cfg.node.module, cfg.cpu_threads, true),
@@ -804,27 +810,26 @@ impl EbeRunState {
             recoveries: Vec::new(),
             corruptions: Vec::new(),
             step: 0,
-            scratch: RhsScratch::new(n),
-            f_multi: vec![0.0; n * r],
-            x_multi: vec![0.0; n * r],
+            lane: FusedLane::new(backend, cfg),
         }
     }
 
-    /// Execute one step boundary: predictors on the CPU lane, the fused
-    /// multi-RHS solve on the GPU lane, advance, sync, exchange, adapt.
+    /// Execute one step boundary: for each process set, its predictors on
+    /// the CPU lane, its fused multi-RHS solve on the GPU lane, advance,
+    /// sync and exchange; then adapt the window.
     pub(crate) fn step_once<F: FaultInjector>(
         &mut self,
         backend: &Backend,
         cfg: &RunConfig,
         tracer: &mut StepTracer,
         faults: &mut F,
-        ctx: &EbeRunCtx<'_>,
+        ctx: &EbeRunCtx,
     ) -> Result<(), RunError> {
         let n = backend.n_dofs();
         let r = cfg.r;
         let n_cases = 2 * r;
         let step = self.step;
-        let s_shared = match cfg.window {
+        let window = match cfg.window {
             WindowPolicy::Adaptive => Some(self.adaptive.current()),
             WindowPolicy::FullWindow => None,
         };
@@ -838,14 +843,13 @@ impl EbeRunState {
         let mut stall_solver = 0.0;
         let mut stall_pred = 0.0;
         let mut history_poisoned = false;
-        let detect = cfg.integrity.detect;
 
         operator_guard(
             OperatorPayload::Ebe(&backend.compact),
             ctx.op_crc,
             faults,
             step,
-            detect,
+            cfg.integrity.detect,
             &mut self.corruptions,
         )
         .map_err(|t| RunError::Corruption {
@@ -855,72 +859,42 @@ impl EbeRunState {
         })?;
 
         for set in 0..2 {
-            let set_cases = set * r..(set + 1) * r;
+            let base = set * r;
+            let cases = &mut self.cases[base..base + r];
+            let specs: Vec<ColumnSpec> = (base..base + r)
+                .map(|c| ColumnSpec::resolve(faults, step, c))
+                .collect();
+            let cols = cases.iter_mut().map(Some);
+            let reports = self
+                .lane
+                .prepare(backend, faults, step, window, cols, &specs);
+            self.corruptions.extend(reports);
             // predictors (CPU lane)
-            let mut ab_guesses: Vec<Vec<f64>> = Vec::with_capacity(r);
-            for c in set_cases.clone() {
-                let case = &mut self.cases[c];
-                boundary_guard(case, faults, step, c, detect, &mut self.corruptions);
-                if check_basis_at(&cfg.integrity, step) {
-                    self.corruptions.extend(basis_sentinel(
-                        case,
-                        step,
-                        c,
-                        cfg.integrity.basis_defect_tol,
-                    ));
-                }
-                let s = s_shared.unwrap_or_else(|| cfg.s_max.max(1).min(case.dd.available_s()));
-                let (ab_guess, su) = case.prepare_step(backend, &mut self.scratch, s);
-                rhs_guard(
-                    backend,
-                    case,
-                    &mut self.scratch,
-                    faults,
-                    step,
-                    c,
-                    detect,
-                    &mut self.corruptions,
-                );
-                ab_guesses.push(ab_guess);
-                s_used = su;
-                if let Some(vf) = faults.guess_fault(step, c) {
-                    vf.apply(&mut case.guess);
-                }
+            for (k, case) in cases.iter().enumerate() {
+                s_used = self.lane.s_used(k);
                 pred_t += tracer.charge_cpu(
                     &mut self.clock,
                     set,
                     "predictor",
-                    &case.dd.cost(s_used.max(1)),
-                    &[("case", Json::from(c)), ("s", Json::from(s_used))],
+                    &case.predictor_cost(s_used.max(1)),
+                    &[("case", Json::from(base + k)), ("s", Json::from(s_used))],
                 );
             }
             // fused solve (GPU lane)
-            for (k, c) in set_cases.clone().enumerate() {
-                hetsolve_sparse::vecops::insert_case(&mut self.f_multi, r, k, &self.cases[c].rhs);
-                hetsolve_sparse::vecops::insert_case(&mut self.x_multi, r, k, &self.cases[c].guess);
-            }
-            let first_cfg = match faults.solver_fault(step, set) {
-                Some(sf) => CgConfig {
-                    max_iter: sf.max_iter.min(ctx.cg_cfg.max_iter),
-                    ..ctx.cg_cfg
-                },
-                None => ctx.cg_cfg,
-            };
+            let first_cfg = first_attempt_cfg(faults, step, set, &ctx.cg_cfg);
             let before = self.recoveries.len();
-            let stats = solve_set_with_ladder(
-                &ctx.op,
-                &backend.precond,
-                &self.f_multi,
-                &mut self.x_multi,
-                &ab_guesses,
+            let outcome = self.lane.solve(
+                backend,
                 &ctx.cg_cfg,
                 &first_cfg,
                 step,
                 set,
-                set * r,
-                true,
                 &mut self.recoveries,
-            )?;
+            );
+            if let Some(e) = self.lane.failure(&outcome, step) {
+                return Err(e.into());
+            }
+            let stats = outcome.stats;
             solver_t += tracer.charge_gpu(
                 &mut self.clock,
                 set,
@@ -942,30 +916,26 @@ impl EbeRunState {
                     FaultLane::Gpu => stall_solver += stall,
                 }
             }
-            for (k, c) in set_cases.clone().enumerate() {
-                let mut x = vec![0.0; n];
-                hetsolve_sparse::vecops::extract_case(&self.x_multi, r, k, &mut x);
+            let fates = self
+                .lane
+                .harvest(backend, &stats, cases.iter_mut().map(Some));
+            for (k, (fate, case)) in fates.into_iter().zip(cases.iter_mut()).enumerate() {
                 iter_sum += stats.case_iterations[k] as f64;
                 res_sum += stats.initial_rel_res[k];
-                if !self.cases[c].advance(
-                    backend,
-                    &x,
-                    &ab_guesses[k],
-                    faults.snapshot_fault(step, c),
-                ) {
-                    history_poisoned = true;
-                }
-                if detect {
-                    if let Some(field) = scrub_state(&self.cases[c]) {
+                match fate {
+                    ColumnFate::Corrupt(field) => {
                         return Err(RunError::Corruption {
                             step,
-                            case: Some(c),
+                            case: Some(base + k),
                             target: CorruptTarget::State(field).label(),
                         });
                     }
+                    ColumnFate::Advanced { history_ok } => history_poisoned |= !history_ok,
+                    // every column is occupied, and a failed one returned above
+                    ColumnFate::Vacant | ColumnFate::Failed => {}
                 }
                 if cfg.record_surface {
-                    self.cases[c].record_waveform(&ctx.obs);
+                    case.record_waveform(&ctx.obs);
                 }
             }
             // sync + exchange predictions/solutions between the processes
@@ -1003,9 +973,8 @@ impl EbeRunState {
         Ok(())
     }
 
-    pub(crate) fn into_result(self, backend: &Backend, cfg: &RunConfig) -> RunResult {
+    pub(crate) fn into_result(self, cfg: &RunConfig) -> RunResult {
         finish(
-            backend,
             cfg,
             self.cases,
             self.records,
@@ -1016,9 +985,7 @@ impl EbeRunState {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finish(
-    backend: &Backend,
     cfg: &RunConfig,
     cases: Vec<CaseSlot>,
     records: Vec<StepRecord>,
@@ -1026,7 +993,6 @@ fn finish(
     recoveries: Vec<RecoveryEvent>,
     corruptions: Vec<CorruptionReport>,
 ) -> RunResult {
-    let _ = backend;
     let n_cases = cases.len();
     let mut waveforms = Vec::new();
     let mut final_u = Vec::new();
@@ -1229,5 +1195,34 @@ mod tests {
         }
         // the matrix-free method still runs on the same backend
         run(&no_crs, &cfg(MethodKind::EbeMcgCpuGpu, 3)).expect("EBE run");
+    }
+
+    /// A fused width the matrix-free operator does not implement is a
+    /// typed configuration error at the entry of every EBE-MCG driver,
+    /// not a panic inside the operator or a worker thread.
+    #[test]
+    fn unsupported_fused_width_is_a_typed_error() {
+        let spec = GroundModelSpec::paper_like(2, 2, 2, InterfaceShape::Stratified);
+        let b = Backend::new(FemProblem::paper_like(&spec), false, false);
+        let mut c = cfg(MethodKind::EbeMcgCpuGpu, 3);
+        c.r = 3;
+        let dir = std::env::temp_dir().join("hs-methods-fused-width");
+        let store = hetsolve_ckpt::CheckpointStore::new(&dir, 1).expect("store");
+        let policy = crate::durable::CheckpointPolicy { every: 1, keep: 1 };
+        let (tracer, faults) = (&mut StepTracer::disabled(), &mut NoopFaults);
+        let errors = [
+            run(&b, &c).err(),
+            crate::durable::run_durable(&b, &c, tracer, faults, &store, policy).err(),
+            crate::realtime::run_realtime(&b, &c).err(),
+        ];
+        std::fs::remove_dir_all(dir).expect("remove store");
+        for err in errors {
+            match err {
+                Some(RunError::Config { message }) => {
+                    assert!(message.contains("r = 3"), "{message}")
+                }
+                other => panic!("expected RunError::Config, got {other:?}"),
+            }
+        }
     }
 }

@@ -12,23 +12,26 @@
 //!            phase 2: [solver: set A]  ||  [predictor: set B (step it+1)]
 //! ```
 //!
-//! Numerics are identical to [`crate::methods::run`] with
-//! `EBE-MCG@CPU-GPU` (verified by tests); only the execution medium
-//! differs.
+//! Each process set is a `Vec<CaseSlot>` and a [`FusedLane`]: the predictor
+//! thread runs the lane's prepare phase, the solver thread its solve and
+//! harvest phases — the same step [`crate::methods::run`] runs for
+//! `EBE-MCG@CPU-GPU`. Every case takes its full window (as under
+//! [`WindowPolicy::FullWindow`](crate::methods::WindowPolicy)), so with
+//! that policy the two drivers agree bitwise (verified by tests); only the
+//! execution medium differs. The realtime driver runs without the
+//! integrity guards.
 
-use hetsolve_fault::{FaultInjector, NoopFaults, VectorFault};
-use hetsolve_fem::{RandomLoad, TimeState};
+use hetsolve_fault::{FaultInjector, NoopFaults};
 use hetsolve_machine::{SystemClock, WallClock};
-use hetsolve_predictor::{AdamsState, DataDrivenPredictor};
-use hetsolve_sparse::vecops::{extract_case, insert_case};
-use hetsolve_sparse::{CgConfig, SolveError};
+use hetsolve_sparse::CgConfig;
 use parking_lot::Mutex;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use crate::backend::{Backend, RhsScratch};
-use crate::methods::{driver_cg_config, RunConfig};
-use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
+use crate::backend::Backend;
+use crate::integrity::IntegrityConfig;
+use crate::lane::{ColumnSpec, FusedLane};
+use crate::methods::{check_fused_width, driver_cg_config, first_attempt_cfg, RunConfig};
+use crate::recovery::{RecoveryEvent, RunError};
+use crate::slot::CaseSlot;
 use crate::trace::{StepTracer, TID_CPU, TID_GPU};
 
 /// Wall-clock accounting of the real pipelined run.
@@ -49,168 +52,9 @@ pub struct RealtimeReport {
     pub recoveries: usize,
 }
 
-/// Per-phase fault descriptors, resolved on the main thread so the solver
-/// thread never touches the (non-`Sync`) injector.
-struct PhaseFaults {
-    guess: Vec<Option<VectorFault>>,
-    snapshot: Vec<Option<VectorFault>>,
-    first_cfg: CgConfig,
-}
-
-impl PhaseFaults {
-    fn resolve<F: FaultInjector>(
-        faults: &mut F,
-        step: usize,
-        set: usize,
-        case_base: usize,
-        r: usize,
-        cg_cfg: &CgConfig,
-    ) -> Self {
-        let first_cfg = match faults.solver_fault(step, set) {
-            Some(sf) => CgConfig {
-                max_iter: sf.max_iter.min(cg_cfg.max_iter),
-                ..*cg_cfg
-            },
-            None => *cg_cfg,
-        };
-        PhaseFaults {
-            guess: (0..r)
-                .map(|c| faults.guess_fault(step, case_base + c))
-                .collect(),
-            snapshot: (0..r)
-                .map(|c| faults.snapshot_fault(step, case_base + c))
-                .collect(),
-            first_cfg,
-        }
-    }
-}
-
-/// One pipelined set: its cases' state.
-struct SetState {
-    time: Vec<TimeState>,
-    loads: Vec<RandomLoad>,
-    adams: Vec<AdamsState>,
-    dd: Vec<DataDrivenPredictor>,
-    /// Prepared initial guesses for the *next* solve of this set.
-    guesses: Vec<Vec<f64>>,
-    ab_guesses: Vec<Vec<f64>>,
-    rhs: Vec<Vec<f64>>,
-}
-
-impl SetState {
-    fn new(backend: &Backend, cfg: &RunConfig, case_base: usize) -> Self {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let mut loads = Vec::with_capacity(r);
-        for c in 0..r {
-            let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed + (case_base + c) as u64);
-            loads.push(RandomLoad::generate(
-                &cfg.load,
-                &backend.problem.surface_nodes,
-                cfg.n_steps,
-                &mut rng,
-            ));
-        }
-        SetState {
-            time: (0..r).map(|_| TimeState::zeros(n)).collect(),
-            loads,
-            adams: (0..r).map(|_| AdamsState::new()).collect(),
-            dd: (0..r)
-                .map(|_| DataDrivenPredictor::new(n, cfg.region_dofs.max(3), cfg.s_max.max(1)))
-                .collect(),
-            guesses: vec![vec![0.0; n]; r],
-            ab_guesses: vec![vec![0.0; n]; r],
-            rhs: vec![vec![0.0; n]; r],
-        }
-    }
-
-    /// Predictor phase for step `it`: build RHS + initial guesses.
-    fn predict(&mut self, backend: &Backend, it: usize, s: usize) {
-        let n = backend.n_dofs();
-        let dt = backend.problem.newmark.dt;
-        let mut scratch = RhsScratch::new(n);
-        let mut f = vec![0.0; n];
-        for c in 0..self.time.len() {
-            self.loads[c].force_into(it, &mut f);
-            backend.problem.mask.project(&mut f);
-            let t = &self.time[c];
-            backend.newmark_rhs(&f, &t.u, &t.v, &t.a, &mut self.rhs[c], &mut scratch);
-            self.adams[c].predict(&t.u, dt, &mut self.ab_guesses[c]);
-            backend.problem.mask.project(&mut self.ab_guesses[c]);
-            self.guesses[c].copy_from_slice(&self.ab_guesses[c]);
-            let mut corr = vec![0.0; n];
-            if s >= 1 && self.dd[c].predict(s, &mut corr) {
-                for (g, co) in self.guesses[c].iter_mut().zip(&corr) {
-                    *g += co;
-                }
-                backend.problem.mask.project(&mut self.guesses[c]);
-            }
-        }
-    }
-
-    /// Solver phase for step `it`: fused MCG solve (with recovery ladder) +
-    /// state advance. Returns total CG iterations over the set plus any
-    /// recovery events.
-    fn solve(
-        &mut self,
-        backend: &Backend,
-        cfg: &RunConfig,
-        step: usize,
-        set: usize,
-        ph: &PhaseFaults,
-    ) -> Result<(usize, Vec<RecoveryEvent>), SolveError> {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let op = backend.ebe_a(r);
-        let mut f_multi = vec![0.0; n * r];
-        let mut x_multi = vec![0.0; n * r];
-        for c in 0..r {
-            if let Some(vf) = ph.guess[c] {
-                vf.apply(&mut self.guesses[c]);
-            }
-            insert_case(&mut f_multi, r, c, &self.rhs[c]);
-            insert_case(&mut x_multi, r, c, &self.guesses[c]);
-        }
-        let cg_cfg = driver_cg_config(cfg.tol);
-        let mut recoveries = Vec::new();
-        let stats = solve_set_with_ladder(
-            &op,
-            &backend.precond,
-            &f_multi,
-            &mut x_multi,
-            &self.ab_guesses,
-            &cg_cfg,
-            &ph.first_cfg,
-            step,
-            set,
-            set * r,
-            true,
-            &mut recoveries,
-        )?;
-        let mut x = vec![0.0; n];
-        for c in 0..r {
-            extract_case(&x_multi, r, c, &mut x);
-            let mut delta: Vec<f64> = x
-                .iter()
-                .zip(&self.ab_guesses[c])
-                .map(|(u, g)| u - g)
-                .collect();
-            if let Some(vf) = ph.snapshot[c] {
-                vf.apply(&mut delta);
-            }
-            let _ = self.dd[c].record(&delta);
-            let t = &mut self.time[c];
-            let u_old = std::mem::replace(&mut t.u, x.clone());
-            backend
-                .problem
-                .newmark
-                .advance(&t.u, &u_old, &mut t.v, &mut t.a);
-            self.adams[c].push(&t.v);
-            t.step += 1;
-        }
-        Ok((stats.case_iterations.iter().sum(), recoveries))
-    }
-}
+/// One pipelined process set: its `r` cases and the fused lane they run
+/// through.
+type Set = (Vec<CaseSlot>, FusedLane);
 
 /// Run EBE-MCG with two real device threads. Returns the per-case final
 /// displacements and the wall-clock report, or a typed [`RunError`] if a
@@ -240,7 +84,7 @@ pub fn run_realtime_traced(
 
 /// [`run_realtime_traced`] with a fault injector. Fault descriptors are
 /// resolved on the main thread each phase; only `Copy` descriptor values
-/// cross into the solver thread.
+/// cross into the device threads.
 pub fn run_realtime_faulted<F: FaultInjector>(
     backend: &Backend,
     cfg: &RunConfig,
@@ -263,10 +107,20 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
     faults: &mut F,
     wall: &C,
 ) -> Result<(Vec<Vec<f64>>, RealtimeReport), RunError> {
-    assert!(cfg.r >= 1);
+    check_fused_width(cfg.r)?;
     tracer.begin_run("EBE-MCG@CPU-GPU (realtime)", cfg, 2);
-    let mut set_a = SetState::new(backend, cfg, 0);
-    let mut set_b = SetState::new(backend, cfg, cfg.r);
+    let r = cfg.r;
+    // the realtime driver runs without the integrity guards
+    let lane_cfg = RunConfig {
+        integrity: IntegrityConfig::disabled(),
+        ..cfg.clone()
+    };
+    let mut sets: [Set; 2] = [0, 1].map(|set| {
+        let cases = (0..r)
+            .map(|k| CaseSlot::new(backend, cfg, set * r + k, 0))
+            .collect();
+        (cases, FusedLane::new(backend, &lane_cfg))
+    });
     let busy = Mutex::new((0.0f64, 0.0f64)); // (solver, predictor)
     let trace_on = tracer.is_enabled();
     let spans: Mutex<Vec<WallSpan>> = Mutex::new(Vec::new());
@@ -275,92 +129,81 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
     let t_start = wall.now();
     // run-relative timestamp of "now" on the injected clock
     let since_start = || wall.now() - t_start;
+    // Account a half-phase that started at `start` to the solver
+    // (`TID_GPU`) or predictor busy time, and to the wall-span trace.
+    let account = |set: usize, tid: usize, name: &'static str, start: f64| {
+        let dur = since_start() - start;
+        let mut busy = busy.lock();
+        if tid == TID_GPU {
+            busy.0 += dur;
+        } else {
+            busy.1 += dur;
+        }
+        if trace_on {
+            spans.lock().push((set, tid, name, start, dur));
+        }
+    };
 
-    // window grows with available history, as in the modeled driver
-    let s_for = |dd: &DataDrivenPredictor, cap: usize| dd.available_s().min(cap);
+    // Predictor half of a phase, on the calling thread: prepare `set`'s
+    // step `step`, each case with its full window (grown with its
+    // history). Fault descriptors are resolved here, so the solver thread
+    // never touches the (non-`Sync`) injector.
+    let predict = |(cases, lane): &mut Set, set: usize, step: usize, faults: &mut F| {
+        let specs: Vec<ColumnSpec> = (set * r..(set + 1) * r)
+            .map(|c| ColumnSpec::resolve(faults, step, c))
+            .collect();
+        let start = since_start();
+        let cols = cases.iter_mut().map(Some);
+        lane.prepare(backend, &mut NoopFaults, step, None, cols, &specs);
+        account(set, TID_CPU, "predict (wall)", start);
+    };
+    // Solver half of a phase, on a spawned thread: `set`'s fused solve of
+    // step `step`, then advance its cases.
+    let solve = |(cases, lane): &mut Set, set: usize, step: usize, first: &CgConfig| {
+        let start = since_start();
+        let mut evs = Vec::new();
+        let outcome = lane.solve(backend, &cg_cfg, first, step, set, &mut evs);
+        let out = match lane.failure(&outcome, step) {
+            Some(e) => Err(RunError::from(e)),
+            None => {
+                lane.harvest(backend, &outcome.stats, cases.iter_mut().map(Some));
+                Ok(evs)
+            }
+        };
+        account(set, TID_GPU, "solve (wall)", start);
+        out
+    };
 
-    // pre-step: prepare both sets' step-0 inputs (no history yet)
-    set_a.predict(backend, 0, 0);
-    set_b.predict(backend, 0, 0);
-
+    // pre-step: prepare set B's step 0 (no history yet)
+    if cfg.n_steps > 0 {
+        predict(&mut sets[1], 1, 0, faults);
+    }
     for it in 0..cfg.n_steps {
-        // phase 1: solve B || predict A for this step (A's rhs already
-        // prepared; recompute with latest state to stay causally correct:
-        // A's state was advanced in the previous phase 2)
-        let s_a = s_for(&set_a.dd[0], cfg.s_max);
-        let ph_b = PhaseFaults::resolve(faults, it, 1, cfg.r, cfg.r, &cg_cfg);
-        let solved = crossbeam::thread::scope(|scope| {
-            let (busy, spans) = (&busy, &spans);
-            let b = scope.spawn(|_| {
-                let start = since_start();
-                let out = set_b.solve(backend, cfg, it, 1, &ph_b);
-                let dur = since_start() - start;
-                busy.lock().0 += dur;
-                if trace_on {
-                    spans.lock().push((1, TID_GPU, "solve (wall)", start, dur));
+        // phase 1: solve B (prepared in the previous phase) || prepare A
+        // for this step; phase 2: solve A || prepare B for the next step
+        let next = Some(it + 1).filter(|&s| s < cfg.n_steps);
+        for (solving, prepare) in [(1, Some(it)), (0, next)] {
+            let first = first_attempt_cfg(faults, it, solving, &cg_cfg);
+            let [set_a, set_b] = &mut sets;
+            let (solve_set, prep_set) = if solving == 1 {
+                (set_b, set_a)
+            } else {
+                (set_a, set_b)
+            };
+            let solved = crossbeam::thread::scope(|scope| {
+                let handle = scope.spawn(|_| solve(solve_set, solving, it, &first));
+                if let Some(step) = prepare {
+                    predict(prep_set, 1 - solving, step, faults);
                 }
-                out
-            });
-            let start = since_start();
-            set_a.predict(backend, it, s_a);
-            let dur = since_start() - start;
-            busy.lock().1 += dur;
-            if trace_on {
-                spans
-                    .lock()
-                    .push((0, TID_CPU, "predict (wall)", start, dur));
-            }
-            match b.join() {
-                Ok(r) => r.map_err(RunError::from),
-                Err(_) => Err(RunError::WorkerPanic {
-                    phase: "realtime solve (set B)",
-                }),
-            }
-        })
-        // PANIC-OK: the scope closure joins both children, so crossbeam's
-        // scope-level error (an unjoined child panic) is unreachable.
-        .expect("thread scope failed");
-        let (_, evs) = solved?;
-        recoveries.extend(evs);
-
-        // phase 2: solve A || predict B for the next step
-        let s_b = s_for(&set_b.dd[0], cfg.s_max);
-        let ph_a = PhaseFaults::resolve(faults, it, 0, 0, cfg.r, &cg_cfg);
-        let solved = crossbeam::thread::scope(|scope| {
-            let (busy, spans) = (&busy, &spans);
-            let a = scope.spawn(|_| {
-                let start = since_start();
-                let out = set_a.solve(backend, cfg, it, 0, &ph_a);
-                let dur = since_start() - start;
-                busy.lock().0 += dur;
-                if trace_on {
-                    spans.lock().push((0, TID_GPU, "solve (wall)", start, dur));
-                }
-                out
-            });
-            if it + 1 < cfg.n_steps {
-                let start = since_start();
-                set_b.predict(backend, it + 1, s_b);
-                let dur = since_start() - start;
-                busy.lock().1 += dur;
-                if trace_on {
-                    spans
-                        .lock()
-                        .push((1, TID_CPU, "predict (wall)", start, dur));
-                }
-            }
-            match a.join() {
-                Ok(r) => r.map_err(RunError::from),
-                Err(_) => Err(RunError::WorkerPanic {
-                    phase: "realtime solve (set A)",
-                }),
-            }
-        })
-        // PANIC-OK: the scope closure joins both children, so crossbeam's
-        // scope-level error (an unjoined child panic) is unreachable.
-        .expect("thread scope failed");
-        let (_, evs) = solved?;
-        recoveries.extend(evs);
+                handle.join().unwrap_or(Err(RunError::WorkerPanic {
+                    phase: ["realtime solve (set A)", "realtime solve (set B)"][solving],
+                }))
+            })
+            // PANIC-OK: the scope closure joins both children, so crossbeam's
+            // scope-level error (an unjoined child panic) is unreachable.
+            .expect("thread scope failed");
+            recoveries.extend(solved?);
+        }
     }
 
     for (pid, tid, name, start_s, dur_s) in spans.into_inner() {
@@ -383,17 +226,18 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
         steps: cfg.n_steps,
         recoveries: recoveries.len(),
     };
-    let mut final_u: Vec<Vec<f64>> = Vec::with_capacity(2 * cfg.r);
-    for t in set_a.time.into_iter().chain(set_b.time) {
-        final_u.push(t.u);
-    }
+    let final_u = sets
+        .into_iter()
+        .flat_map(|(cases, _)| cases)
+        .map(|case| case.time.u)
+        .collect();
     Ok((final_u, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{run, MethodKind};
+    use crate::methods::{run, MethodKind, WindowPolicy};
     use hetsolve_fem::{FemProblem, RandomLoadSpec};
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
@@ -462,6 +306,19 @@ mod tests {
         for (c, u_model) in modeled.final_u.iter().enumerate() {
             for (i, (&a, &b)) in final_rt[c].iter().zip(u_model).enumerate() {
                 assert!((a - b).abs() < 1e-5 * scale, "case {c} dof {i}: {a} vs {b}");
+            }
+        }
+
+        // Under the full window both drivers pick every case's window
+        // from its own history, so the solutions agree bitwise.
+        let mut full = cfg;
+        full.window = WindowPolicy::FullWindow;
+        let (final_rt, _) = run_realtime(&backend, &full).expect("realtime");
+        let modeled = run(&backend, &full).expect("run");
+        assert_eq!(final_rt.len(), modeled.final_u.len());
+        for (c, (u_rt, u_model)) in final_rt.iter().zip(&modeled.final_u).enumerate() {
+            for (i, (a, b)) in u_rt.iter().zip(u_model).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "case {c} dof {i}: {a} vs {b}");
             }
         }
     }

@@ -217,44 +217,26 @@ pub(crate) fn solve_with_ladder<A: LinearOperator, P: Preconditioner>(
     let initial_rel_res = stats.initial_rel_res;
     let mut attempts = 1;
 
-    if retry_ab {
-        x.copy_from_slice(ab_guess);
-        let retry = pcg(a, prec, rhs, x, cfg);
+    for (source, rung_cfg) in retry_rungs(cfg).into_iter().skip(usize::from(!retry_ab)) {
+        match source {
+            GuessSource::AdamsBashforth => x.copy_from_slice(ab_guess),
+            _ => x.fill(0.0),
+        }
+        let retry = pcg(a, prec, rhs, x, &rung_cfg);
         attempts += 1;
         stats = merge_cg(stats, retry);
+        stats.initial_rel_res = initial_rel_res;
         if stats.converged {
             recoveries.push(RecoveryEvent {
                 step,
                 case: None,
                 set,
                 failed,
-                recovered_with: GuessSource::AdamsBashforth,
+                recovered_with: source,
                 attempts,
             });
-            stats.initial_rel_res = initial_rel_res;
             return Ok(stats);
         }
-    }
-
-    x.fill(0.0);
-    let cold_cfg = CgConfig {
-        max_iter: cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
-        ..*cfg
-    };
-    let cold = pcg(a, prec, rhs, x, &cold_cfg);
-    attempts += 1;
-    stats = merge_cg(stats, cold);
-    stats.initial_rel_res = initial_rel_res;
-    if stats.converged {
-        recoveries.push(RecoveryEvent {
-            step,
-            case: None,
-            set,
-            failed,
-            recovered_with: GuessSource::Zero,
-            attempts,
-        });
-        return Ok(stats);
     }
     Err(SolveError {
         step,
@@ -264,6 +246,20 @@ pub(crate) fn solve_with_ladder<A: LinearOperator, P: Preconditioner>(
         iterations: stats.iterations,
         attempts,
     })
+}
+
+/// The ladder's retry rungs after a failed first attempt, in order: the
+/// Adams-Bashforth guess under the clean `cfg`, then the zero guess with
+/// the iteration cap raised [`ZERO_GUESS_ITER_FACTOR`]-fold.
+fn retry_rungs(cfg: &CgConfig) -> [(GuessSource, CgConfig); 2] {
+    let cold = CgConfig {
+        max_iter: cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
+        ..*cfg
+    };
+    [
+        (GuessSource::AdamsBashforth, *cfg),
+        (GuessSource::Zero, cold),
+    ]
 }
 
 /// Fold a retry into the running stats: iterations and work accumulate,
@@ -295,14 +291,14 @@ pub struct SetSolveOutcome {
 /// re-solved — already-converged lanes re-enter with a sub-tolerance
 /// residual, are inactive from iteration zero, and keep their solution
 /// bitwise (the MCG freeze contract). `ab_guesses[k]` is the
-/// Adams-Bashforth guess of lane `k` (ignored for vacant lanes, which may
-/// hold an empty vec); `occupied[k] == false` marks a vacant lane that is
-/// skipped entirely (see [`mcg_masked`]); `lane_cases[k]` is lane `k`'s
-/// global case/request id for the recovery log.
+/// Adams-Bashforth guess of lane `k` (ignored for vacant lanes);
+/// `occupied[k] == false` marks a vacant lane that is skipped entirely
+/// (see [`mcg_masked`]); `lane_cases[k]` is lane `k`'s global
+/// case/request id for the recovery log.
 ///
-/// Unlike the driver-facing wrapper this never errors: lanes that exhaust
-/// the ladder simply keep their failure in `case_termination`, so a caller
-/// with independent lanes can harvest the healthy ones.
+/// This never errors: lanes that exhaust the ladder simply keep their
+/// failure in `case_termination`, so a caller with independent lanes can
+/// harvest the healthy ones.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_set_resumable<A: MultiOperator, P: Preconditioner>(
     a: &A,
@@ -316,7 +312,6 @@ pub fn solve_set_resumable<A: MultiOperator, P: Preconditioner>(
     first_cfg: &CgConfig,
     step: usize,
     set: usize,
-    retry_ab: bool,
     recoveries: &mut Vec<RecoveryEvent>,
 ) -> SetSolveOutcome {
     let r = a.r();
@@ -329,117 +324,35 @@ pub fn solve_set_resumable<A: MultiOperator, P: Preconditioner>(
     let initial_rel_res = stats.initial_rel_res.clone();
     let mut attempts = 1;
 
-    if retry_ab {
-        for k in 0..r {
-            if failing(&stats, k) {
-                hetsolve_sparse::vecops::insert_case(x, r, k, &ab_guesses[k]);
-            }
+    let zero = vec![0.0; a.n()];
+    for (source, rung_cfg) in retry_rungs(cfg) {
+        for k in (0..r).filter(|&k| failing(&stats, k)) {
+            let guess = match source {
+                GuessSource::AdamsBashforth => &ab_guesses[k],
+                _ => &zero,
+            };
+            hetsolve_sparse::vecops::insert_case(x, r, k, guess);
         }
-        let retry = mcg_masked(a, prec, f, x, cfg, occupied);
+        let retry = mcg_masked(a, prec, f, x, &rung_cfg, occupied);
         attempts += 1;
         let recovered: Vec<usize> = (0..r)
             .filter(|&k| failing(&stats, k) && retry.case_termination[k] == Termination::Converged)
             .collect();
         stats = merge_mcg(stats, retry);
-        for &k in &recovered {
-            recoveries.push(RecoveryEvent {
-                step,
-                case: lane_cases[k],
-                set,
-                failed: first_failed[k],
-                recovered_with: GuessSource::AdamsBashforth,
-                attempts,
-            });
-        }
-        if stats.converged {
-            stats.initial_rel_res = initial_rel_res;
-            return SetSolveOutcome { stats, attempts };
-        }
-    }
-
-    let n = a.n();
-    let zero = vec![0.0; n];
-    for k in 0..r {
-        if failing(&stats, k) {
-            hetsolve_sparse::vecops::insert_case(x, r, k, &zero);
-        }
-    }
-    let cold_cfg = CgConfig {
-        max_iter: cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
-        ..*cfg
-    };
-    let cold = mcg_masked(a, prec, f, x, &cold_cfg, occupied);
-    attempts += 1;
-    let recovered: Vec<usize> = (0..r)
-        .filter(|&k| failing(&stats, k) && cold.case_termination[k] == Termination::Converged)
-        .collect();
-    stats = merge_mcg(stats, cold);
-    stats.initial_rel_res = initial_rel_res;
-    for &k in &recovered {
-        recoveries.push(RecoveryEvent {
+        recoveries.extend(recovered.into_iter().map(|k| RecoveryEvent {
             step,
             case: lane_cases[k],
             set,
             failed: first_failed[k],
-            recovered_with: GuessSource::Zero,
+            recovered_with: source,
             attempts,
-        });
+        }));
+        if stats.converged {
+            break;
+        }
     }
+    stats.initial_rel_res = initial_rel_res;
     SetSolveOutcome { stats, attempts }
-}
-
-/// Driver-facing multi-RHS ladder: fully-occupied lane, and a lane that
-/// exhausts the ladder aborts the run with a typed [`SolveError`] naming
-/// the first failing case.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_set_with_ladder<A: MultiOperator, P: Preconditioner>(
-    a: &A,
-    prec: &P,
-    f: &[f64],
-    x: &mut [f64],
-    ab_guesses: &[Vec<f64>],
-    cfg: &CgConfig,
-    first_cfg: &CgConfig,
-    step: usize,
-    set: usize,
-    case_base: usize,
-    retry_ab: bool,
-    recoveries: &mut Vec<RecoveryEvent>,
-) -> Result<McgStats, SolveError> {
-    let r = a.r();
-    let occupied = vec![true; r];
-    let lane_cases: Vec<Option<usize>> = (0..r).map(|k| Some(case_base + k)).collect();
-    let SetSolveOutcome { stats, attempts } = solve_set_resumable(
-        a,
-        prec,
-        f,
-        x,
-        ab_guesses,
-        &occupied,
-        &lane_cases,
-        cfg,
-        first_cfg,
-        step,
-        set,
-        retry_ab,
-        recoveries,
-    );
-    if stats.converged {
-        return Ok(stats);
-    }
-    let worst = (0..r)
-        .find(|&k| stats.case_termination[k].is_failure())
-        // PANIC-OK: `!stats.converged` (checked above) means at least one
-        // lane's termination is a failure by `mcg_multi`'s contract.
-        .expect("non-converged MCG must have a failing lane");
-    Err(SolveError {
-        step,
-        case: Some(case_base + worst),
-        termination: stats.case_termination[worst],
-        rel_res: stats.final_rel_res[worst],
-        iterations: stats.case_iterations[worst],
-        attempts,
-    })
 }
 
 /// Fold an MCG retry into the running stats: fused iterations and work

@@ -3,12 +3,13 @@
 //! [`CaseSlot`] carries everything one simulation case needs between time
 //! steps: the Newmark time state, its random load history, the
 //! Adams-Bashforth extrapolator and the data-driven correction predictor,
-//! plus per-step scratch. The ensemble drivers in [`crate::methods`] own a
-//! fixed array of slots for a whole run; the serving layer
-//! (`hetsolve-serve`) instead creates and retires slots independently, so a
-//! fused lane can backfill a freed slot at a time-step boundary while its
-//! companions keep iterating. Both paths call the exact same `prepare_step`
-//! / `advance` sequence, which is what makes a served case's trajectory
+//! plus per-step scratch. The ensemble and realtime drivers own a fixed
+//! array of slots for a whole run; the serving layer (`hetsolve-serve`)
+//! instead creates and retires slots independently, so a fused lane can
+//! backfill a freed slot at a time-step boundary while its companions keep
+//! iterating. All of them step their slots through the one fused lane step
+//! ([`crate::lane`], the only caller of `prepare_step` and `advance`),
+//! which is what makes a served or realtime case's trajectory
 //! bitwise-identical to its solo ensemble solve.
 
 use hetsolve_fault::VectorFault;

@@ -220,6 +220,11 @@ fn phys_gradients(gt: &[f64; 40], dl: &[[f64; 3]; 4]) -> [[f64; 3]; 10] {
 }
 
 impl<'a> CompactEbe<'a> {
+    /// Fused right-hand-side counts the operator implements.
+    pub fn supports_width(r: usize) -> bool {
+        matches!(r, 1 | 2 | 4 | 8)
+    }
+
     pub fn new(
         plan: &'a EbePlan,
         data: &'a CompactElements,
@@ -230,7 +235,7 @@ impl<'a> CompactEbe<'a> {
         r: usize,
     ) -> Self {
         assert!(
-            matches!(r, 1 | 2 | 4 | 8),
+            Self::supports_width(r),
             "fused RHS count must be 1, 2, 4 or 8 (got {r})"
         );
         assert_eq!(plan.elems().len(), data.n_elems);

@@ -12,22 +12,25 @@
 //!
 //! # Bitwise equivalence
 //!
-//! A served case advances through the *same* `CaseSlot::prepare_step` /
-//! `solve_set_resumable` / `CaseSlot::advance` sequence as a solo
+//! A served case advances through the *same* fused lane step
+//! ([`FusedLane`]: prepare, solve, harvest) as a solo
 //! [`run_ensemble`](hetsolve_core::run_ensemble) case, with
 //! [`WindowPolicy::FullWindow`] making the snapshot window purely
 //! case-local and the MCG lane mask making vacant columns invisible to
-//! occupied ones. A request with seed `s`, the server's `RunConfig`, and
-//! `n_steps` matching a solo run therefore produces a bitwise-identical
-//! final displacement — under any load, any companions, any backfill
-//! order. The serve suite asserts this with `f64::to_bits`.
+//! occupied ones. The server runs that step under the batcher's
+//! occupancy mask and keeps only what is its own: cost charging, trace
+//! spans, the fault hooks it consults, and failing a single request when
+//! its column exhausts the recovery ladder. A request with seed `s`, the
+//! server's `RunConfig`, and `n_steps` matching a solo run therefore
+//! produces a bitwise-identical final displacement — under any load, any
+//! companions, any backfill order. The serve suite asserts this with
+//! `f64::to_bits`.
 
 use std::path::PathBuf;
 
 use hetsolve_core::{
-    basis_sentinel, boundary_guard, driver_cg_config, rhs_guard, scrub_state, solve_set_resumable,
-    Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RhsScratch, RunConfig,
-    SlotState, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
+    driver_cg_config, Backend, CaseSlot, ColumnFate, ColumnSpec, CorruptionReport, FusedLane,
+    MethodKind, RecoveryEvent, RunConfig, SlotState, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
 };
 use hetsolve_fault::{AdmissionFault, FaultInjector, FaultLane, NoopFaults};
 use hetsolve_machine::{LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
@@ -35,7 +38,6 @@ use hetsolve_obs::{
     flow_id_for_request, FlightRecorder, Json, MetricsRegistry, ServeStats, TraceBuilder,
     DEFAULT_FLIGHT_CAPACITY,
 };
-use hetsolve_sparse::vecops::{extract_case, insert_case};
 
 use crate::batcher::{BatchPolicy, Batcher, CompatKey};
 use crate::qos::{AutoscaleConfig, AutoscaleEvent, AutoscalerState, QosConfig, ScaleDirection};
@@ -157,7 +159,9 @@ pub struct EnsembleServer<'b, F: FaultInjector = NoopFaults> {
     /// Every admitted request, indexed by `RequestId.0`.
     pub(crate) records: Vec<RequestRecord>,
     pub(crate) clock: ModuleClock,
-    pub(crate) scratch: RhsScratch,
+    /// The fused lane step every process set runs through in turn (its
+    /// pack buffers are rewritten by each prepare).
+    fused: FusedLane,
     pub(crate) stats: ServeStats,
     pub(crate) recoveries: Vec<RecoveryEvent>,
     /// Corruption detections + the recovery taken, in order (the serving
@@ -242,7 +246,7 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
             slots: (0..lanes).map(|_| (0..r).map(|_| None).collect()).collect(),
             records: Vec::new(),
             clock,
-            scratch: RhsScratch::new(backend.n_dofs()),
+            fused: FusedLane::new(backend, &cfg.run),
             stats: ServeStats::new(),
             recoveries: Vec::new(),
             corruptions: Vec::new(),
@@ -800,9 +804,7 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
         if n_occ == 0 {
             return;
         }
-        let detect = self.cfg.run.integrity.detect;
         let t_detect = self.clock.elapsed();
-        let mut lane_corruptions: Vec<CorruptionReport> = Vec::new();
         let r = self.batcher.width();
         let n = self.backend.n_dofs();
         self.stats.sample_occupancy(n_occ, r);
@@ -816,82 +818,44 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
             .tol();
         let cg_cfg = driver_cg_config(tol);
 
-        // predictors (CPU lane), RHS assembly, fused-vector packing
-        let mut ab_guesses: Vec<Vec<f64>> = vec![Vec::new(); r];
-        let mut lane_cases: Vec<Option<usize>> = vec![None; r];
-        let mut f_multi = vec![0.0; n * r];
-        let mut x_multi = vec![0.0; n * r];
+        // the request id names each column; serving injects no guess or
+        // snapshot faults, only the SDC flips the guards consult
+        let ids: Vec<Option<RequestId>> = (0..r).map(|k| self.batcher.slot(lane, k)).collect();
+        let mut specs = vec![ColumnSpec::default(); r];
+        for (spec, id) in specs.iter_mut().zip(&ids) {
+            if let Some(id) = id {
+                spec.id = id.0 as usize;
+                self.records[spec.id].state = RequestState::Solving;
+            }
+        }
+
+        // predictors (CPU lane): guards, RHS, guesses, packing
+        let cols = &mut self.slots[lane];
+        let lane_corruptions = self.fused.prepare(
+            self.backend,
+            &mut self.faults,
+            self.ticks,
+            None,
+            cols.iter_mut().map(Option::as_mut),
+            &specs,
+        );
         let mut pred_t = 0.0;
-        for k in 0..r {
-            if !occupied[k] {
-                continue;
+        for (k, case) in cols.iter().enumerate() {
+            if let Some(case) = case {
+                pred_t += self
+                    .clock
+                    .run_cpu(&case.predictor_cost(self.fused.s_used(k).max(1)));
             }
-            // PANIC-OK: guarded by `occupied[k]` from the same batcher's
-            // occupancy mask, read under the same borrow.
-            let id = self.batcher.slot(lane, k).expect("occupied slot");
-            lane_cases[k] = Some(id.0 as usize);
-            self.records[id.0 as usize].state = RequestState::Solving;
-            let case = self.slots[lane][k]
-                .as_mut()
-                // PANIC-OK: `slots` mirrors the batcher occupancy —
-                // populated on admit, cleared on free — and `occupied[k]`
-                // held at the top of this loop body.
-                .expect("occupied slot has a case");
-            // SDC boundary guard: checksum the column's state, let any
-            // injected flips land, verify and roll back bitwise
-            boundary_guard(
-                case,
-                &mut self.faults,
-                self.ticks,
-                id.0 as usize,
-                detect,
-                &mut lane_corruptions,
-            );
-            let every = self.cfg.run.integrity.basis_check_every;
-            if detect && every > 0 && self.ticks > 0 && self.ticks.is_multiple_of(every) {
-                if let Some(rep) = basis_sentinel(
-                    case,
-                    self.ticks,
-                    id.0 as usize,
-                    self.cfg.run.integrity.basis_defect_tol,
-                ) {
-                    lane_corruptions.push(rep);
-                }
-            }
-            let s = self.cfg.run.s_max.max(1).min(case.available_s());
-            let (ab, s_used) = case.prepare_step(self.backend, &mut self.scratch, s);
-            // RHS checksum between assembly and the fused solve
-            rhs_guard(
-                self.backend,
-                case,
-                &mut self.scratch,
-                &mut self.faults,
-                self.ticks,
-                id.0 as usize,
-                detect,
-                &mut lane_corruptions,
-            );
-            pred_t += self.clock.run_cpu(&case.predictor_cost(s_used.max(1)));
-            insert_case(&mut f_multi, r, k, case.rhs());
-            insert_case(&mut x_multi, r, k, case.guess());
-            ab_guesses[k] = ab;
         }
 
         // fused masked solve (GPU lane) through the resumable ladder:
         // a column that exhausts it keeps its failure, companions survive
-        let outcome = solve_set_resumable(
-            &self.backend.ebe_a(r),
-            &self.backend.precond,
-            &f_multi,
-            &mut x_multi,
-            &ab_guesses,
-            &occupied,
-            &lane_cases,
+        let outcome = self.fused.solve(
+            self.backend,
             &cg_cfg,
             &cg_cfg,
             self.ticks,
             lane,
-            true,
             &mut self.recoveries,
         );
         let solver_t = self
@@ -900,16 +864,15 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
 
         // harvest columns; flow hops collect each occupant's fate for the
         // causal-trace arrows emitted with the spans below
+        let fates = self.fused.harvest(
+            self.backend,
+            &outcome.stats,
+            cols.iter_mut().map(Option::as_mut),
+        );
         let mut flow_hops: Vec<(u64, RequestState)> = Vec::with_capacity(n_occ);
-        let mut x = vec![0.0; n];
-        for k in 0..r {
-            if !occupied[k] {
-                continue;
-            }
-            // PANIC-OK: same `occupied[k]` guard as the packing loop; the
-            // solve does not admit or free slots.
-            let id = self.batcher.slot(lane, k).expect("occupied slot");
-            if outcome.stats.case_termination[k].is_failure() {
+        for (k, (fate, id)) in fates.into_iter().zip(ids).enumerate() {
+            let Some(id) = id else { continue };
+            if fate == ColumnFate::Failed {
                 self.slots[lane][k] = None;
                 self.batcher.free(lane, k);
                 let failed_at = self.clock.elapsed();
@@ -926,14 +889,7 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
                 flow_hops.push((id.0, RequestState::Failed));
                 continue;
             }
-            extract_case(&x_multi, r, k, &mut x);
-            let case = self.slots[lane][k]
-                .as_mut()
-                // PANIC-OK: `occupied[k]` held and the failure arm above
-                // `continue`s after clearing, so this slot is still live.
-                .expect("occupied slot has a case");
-            case.advance(self.backend, &x, &ab_guesses[k], None);
-            if detect && scrub_state(case).is_some() {
+            if let ColumnFate::Corrupt(_) = fate {
                 // non-finite state slipped past every checksum: free the
                 // column rather than carry NaNs forward (zero silent
                 // wrong answers)
@@ -949,13 +905,11 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
                 self.record_eviction_event(id, Some(lane), EvictReason::Corruption, at);
                 continue;
             }
-            if case.is_done() {
-                let result = if self.cfg.keep_results {
-                    Some(case.displacement().to_vec())
-                } else {
-                    None
-                };
-                self.slots[lane][k] = None;
+            if self.slots[lane][k].as_ref().is_some_and(CaseSlot::is_done) {
+                let result = self.slots[lane][k]
+                    .take()
+                    .filter(|_| self.cfg.keep_results)
+                    .map(|case| case.displacement().to_vec());
                 self.batcher.free(lane, k);
                 let done_at = self.clock.elapsed();
                 let req = self.records[id.0 as usize].request;
