@@ -30,7 +30,8 @@ pub struct Backend {
     pub crs_m: Option<Bcrs3>,
     /// Block-Jacobi preconditioner of `A`.
     pub precond: BlockJacobi,
-    /// Run kernels with rayon.
+    /// Run the compact EBE apply on the kernel pool
+    /// (`hetsolve_sparse::pool`) and the rayon paths of the other kernels.
     pub parallel: bool,
 }
 

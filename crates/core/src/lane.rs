@@ -9,7 +9,7 @@
 //!
 //! 1. [`prepare`](FusedLane::prepare), per occupied column: step-boundary
 //!    guard, periodic basis sentinel, RHS and initial guess
-//!    ([`CaseSlot::prepare_step`]), RHS guard, injected guess fault, and
+//!    ([`CaseSlot::prepare_step_into`]), RHS guard, injected guess fault, and
 //!    packing into the lane's interleaved `n·r` vectors;
 //! 2. [`solve`](FusedLane::solve): the masked multi-RHS CG through the
 //!    resumable recovery ladder ([`solve_set_resumable`]);
@@ -104,7 +104,7 @@ impl FusedLane {
             scratch: RhsScratch::new(n),
             occupied: vec![false; r],
             ids: vec![None; r],
-            ab_guesses: vec![Vec::new(); r],
+            ab_guesses: vec![vec![0.0; n]; r],
             snapshot: vec![None; r],
             s_used: vec![0; r],
         }
@@ -146,7 +146,8 @@ impl FusedLane {
                 reports.extend(basis_sentinel(case, step, spec.id, tol));
             }
             let s = window.unwrap_or_else(|| self.s_max.max(1).min(case.available_s()));
-            let (ab_guess, s_used) = case.prepare_step(backend, &mut self.scratch, s);
+            let ab_guess = &mut self.ab_guesses[k];
+            let s_used = case.prepare_step_into(backend, &mut self.scratch, s, ab_guess);
             rhs_guard(
                 backend,
                 case,
@@ -162,7 +163,6 @@ impl FusedLane {
             }
             insert_case(&mut self.f, r, k, &case.rhs);
             insert_case(&mut self.x, r, k, &case.guess);
-            self.ab_guesses[k] = ab_guess;
             self.s_used[k] = s_used;
         }
         reports

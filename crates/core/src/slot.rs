@@ -8,7 +8,7 @@
 //! instead creates and retires slots independently, so a fused lane can
 //! backfill a freed slot at a time-step boundary while its companions keep
 //! iterating. All of them step their slots through the one fused lane step
-//! ([`crate::lane`], the only caller of `prepare_step` and `advance`),
+//! ([`crate::lane`], the only caller of `prepare_step_into` and `advance`),
 //! which is what makes a served or realtime case's trajectory
 //! bitwise-identical to its solo ensemble solve.
 
@@ -37,6 +37,10 @@ pub struct CaseSlot {
     pub(crate) f: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
     pub(crate) guess: Vec<f64>,
+    /// Scratch: the predictor correction, then the correction snapshot.
+    work: Vec<f64>,
+    /// Scratch: the displacement `advance` replaces.
+    u_old: Vec<f64>,
     pub(crate) waveform: Vec<Vec<f64>>,
 }
 
@@ -72,6 +76,8 @@ impl CaseSlot {
             f: vec![0.0; n],
             rhs: vec![0.0; n],
             guess: vec![0.0; n],
+            work: vec![0.0; n],
+            u_old: vec![0.0; n],
             waveform: vec![Vec::new(); n_obs],
         }
     }
@@ -89,9 +95,9 @@ impl CaseSlot {
         self.adams.predict(&self.time.u, dt, &mut self.guess);
         let mut s_used = 0;
         if data_driven && s >= 1 {
-            let mut corr = vec![0.0; self.guess.len()];
-            if self.dd.predict(s, &mut corr) {
-                for (g, c) in self.guess.iter_mut().zip(&corr) {
+            let corr = &mut self.work;
+            if self.dd.predict(s, corr) {
+                for (g, c) in self.guess.iter_mut().zip(corr.iter()) {
                     *g += c;
                 }
                 s_used = s.min(self.dd.available_s());
@@ -103,16 +109,17 @@ impl CaseSlot {
 
     /// Prepare this slot's current step: assemble the Newmark RHS from the
     /// step's load into `rhs()`, then build the data-driven initial guess
-    /// with window `s` into `guess()`. Returns the plain Adams-Bashforth
+    /// with window `s` into `guess()`. Writes the plain Adams-Bashforth
     /// guess (the recovery ladder's retry rung and the correction-snapshot
-    /// reference) and the window actually used. The step index is the
-    /// slot's own [`step_index`](Self::step_index).
-    pub fn prepare_step(
+    /// reference) into `ab_guess` and returns the window actually used.
+    /// The step index is the slot's own [`step_index`](Self::step_index).
+    pub fn prepare_step_into(
         &mut self,
         backend: &Backend,
         scratch: &mut RhsScratch,
         s: usize,
-    ) -> (Vec<f64>, usize) {
+        ab_guess: &mut [f64],
+    ) -> usize {
         let step = self.time.step;
         self.load.force_into(step, &mut self.f);
         backend.problem.mask.project(&mut self.f);
@@ -126,8 +133,21 @@ impl CaseSlot {
         );
         let dt = backend.problem.newmark.dt;
         self.predict(backend, dt, false, 0);
-        let ab_guess = self.guess.clone();
-        let s_used = self.predict(backend, dt, true, s);
+        ab_guess.copy_from_slice(&self.guess);
+        self.predict(backend, dt, true, s)
+    }
+
+    /// [`Self::prepare_step_into`] returning the Adams-Bashforth guess in
+    /// a new vector, with the window used: for callers outside a lane,
+    /// which has a buffer for it.
+    pub fn prepare_step(
+        &mut self,
+        backend: &Backend,
+        scratch: &mut RhsScratch,
+        s: usize,
+    ) -> (Vec<f64>, usize) {
+        let mut ab_guess = vec![0.0; self.guess.len()];
+        let s_used = self.prepare_step_into(backend, scratch, s, &mut ab_guess);
         (ab_guess, s_used)
     }
 
@@ -144,14 +164,23 @@ impl CaseSlot {
         snapshot_fault: Option<VectorFault>,
     ) -> bool {
         // correction snapshot: delta = u_true - u_adams
-        let mut delta: Vec<f64> = u_new.iter().zip(ab_guess).map(|(u, g)| u - g).collect();
-        if let Some(f) = snapshot_fault {
-            f.apply(&mut delta);
+        let delta = &mut self.work;
+        for ((d, u), g) in delta.iter_mut().zip(u_new).zip(ab_guess) {
+            *d = u - g;
         }
-        let history_ok = self.dd.record(&delta);
+        if let Some(f) = snapshot_fault {
+            f.apply(delta);
+        }
+        let history_ok = self.dd.record(delta);
         let nm = &backend.problem.newmark;
-        let u_old = std::mem::replace(&mut self.time.u, u_new.to_vec());
-        nm.advance(&self.time.u, &u_old, &mut self.time.v, &mut self.time.a);
+        self.u_old.copy_from_slice(u_new);
+        std::mem::swap(&mut self.time.u, &mut self.u_old);
+        nm.advance(
+            &self.time.u,
+            &self.u_old,
+            &mut self.time.v,
+            &mut self.time.a,
+        );
         self.adams.push(&self.time.v);
         self.time.step += 1;
         history_ok
@@ -206,9 +235,9 @@ impl CaseSlot {
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:
     /// seed + step count (the load regenerates from them), Newmark vectors,
-    /// both predictor histories, and the recorded waveform. The `f`/`rhs`/
-    /// `guess` scratch is deliberately excluded — `prepare_step` fully
-    /// recomputes it before any read.
+    /// both predictor histories, and the recorded waveform. The scratch
+    /// vectors are deliberately excluded — a step rewrites each before
+    /// reading it.
     pub fn state(&self) -> SlotState {
         SlotState {
             seed: self.seed,

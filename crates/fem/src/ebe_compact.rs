@@ -24,9 +24,13 @@ use hetsolve_mesh::{Coloring, Material, TetMesh10};
 use hetsolve_sparse::dirichlet::FixedMask;
 use hetsolve_sparse::ebe::color_faces;
 use hetsolve_sparse::op::{KernelCounts, LinearOperator, MultiOperator};
-use hetsolve_sparse::parcheck::{ColorScatter, ColoredConnectivity};
+use hetsolve_sparse::parcheck::ColoredConnectivity;
+use hetsolve_sparse::pool;
 use hetsolve_sparse::sym::sym2_matvec_add_multi;
 use rayon::prelude::*;
+use std::iter::Enumerate;
+use std::slice::ChunksMut;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::quad::{tet_rule_deg2, tet_rule_deg5};
 use crate::shape::{tet10_shape, tet_bary_gradients};
@@ -122,21 +126,82 @@ impl CompactElements {
     }
 }
 
-/// The validated scatter plan of a Tet10 mesh and its Tri6 dashpot faces:
+/// Node → contribution-block incidence in CSR form: node `n` sums the
+/// blocks `blocks[start[n]..start[n + 1]]` of the apply's result buffer,
+/// in that order. A block is one entity-local node's `3R` values; block
+/// `base + K·id + k` belongs to local node `k` of entity `id`.
+#[derive(Debug)]
+struct Incidence {
+    start: Vec<u32>,
+    blocks: Vec<u32>,
+}
+
+impl Incidence {
+    /// The blocks of `conn`'s entities in the order `groups` lists them:
+    /// color by color, which is the order a colored scatter would add
+    /// them into each node.
+    fn new<const K: usize>(
+        n_nodes: usize,
+        conn: &[[u32; K]],
+        groups: &[Vec<u32>],
+        base: usize,
+    ) -> Self {
+        let entities = || {
+            groups
+                .iter()
+                .flatten()
+                .map(|&id| (id as usize, &conn[id as usize]))
+        };
+        let mut start = vec![0u32; n_nodes + 1];
+        for (_, nodes) in entities() {
+            for &n in nodes {
+                start[n as usize + 1] += 1;
+            }
+        }
+        for n in 0..n_nodes {
+            start[n + 1] += start[n];
+        }
+        let mut next = start.clone();
+        let mut blocks = vec![0u32; start[n_nodes] as usize];
+        for (id, nodes) in entities() {
+            for (k, &n) in nodes.iter().enumerate() {
+                let b = u32::try_from(base + K * id + k).expect("block index fits u32");
+                blocks[next[n as usize] as usize] = b;
+                next[n as usize] += 1;
+            }
+        }
+        Incidence { start, blocks }
+    }
+
+    fn of(&self, node: usize) -> &[u32] {
+        &self.blocks[self.start[node] as usize..self.start[node + 1] as usize]
+    }
+}
+
+/// The validated apply plan of a Tet10 mesh and its Tri6 dashpot faces:
 /// the element connectivity with its coloring and the face connectivity
-/// with its coloring, each checked by `validate_groups`. Build it once per
-/// mesh; every [`CompactEbe`] borrows it, so building an operator does no
-/// coloring work and cannot skip the check.
-#[derive(Debug, Clone)]
+/// with its coloring, each checked by `validate_groups`, and the
+/// node → contribution incidence the apply gathers through. Build it once
+/// per mesh; every [`CompactEbe`] borrows it, so building an operator does
+/// no coloring work and cannot skip the check.
+#[derive(Debug)]
 pub struct EbePlan {
     elems: ColoredConnectivity<10>,
     faces: ColoredConnectivity<6>,
+    /// Element blocks `10·e + k`, color by color.
+    elem_inc: Incidence,
+    /// Face blocks `10·n_elems + 6·f + k`, color by color.
+    face_inc: Incidence,
+    /// Result buffers of finished applies, reused by the next ones (one
+    /// per apply running at the same time).
+    spare: Mutex<Vec<Vec<f64>>>,
 }
 
 impl EbePlan {
     /// Validate `coloring` over `elems`, color the dashpot `faces` and
-    /// validate that coloring too. Panics with the offending pair when two
-    /// same-color entities share a node (their scatters would race).
+    /// validate that coloring too, then build the incidence. Panics with
+    /// the offending pair when two same-color entities share a node (their
+    /// contributions would no longer be ordered by color).
     pub fn new(
         n_nodes: usize,
         elems: &[[u32; 10]],
@@ -148,7 +213,16 @@ impl EbePlan {
             .unwrap_or_else(|c| panic!("EbePlan::new: element {c}"));
         let faces = ColoredConnectivity::validate(n_nodes, faces, color_faces(n_nodes, faces))
             .unwrap_or_else(|c| panic!("EbePlan::new: face {c}"));
-        EbePlan { elems, faces }
+        let elem_inc = Incidence::new(n_nodes, elems.conn(), elems.groups(), 0);
+        let face_base = 10 * elems.conn().len();
+        let face_inc = Incidence::new(n_nodes, faces.conn(), faces.groups(), face_base);
+        EbePlan {
+            elems,
+            faces,
+            elem_inc,
+            face_inc,
+            spare: Mutex::new(Vec::new()),
+        }
     }
 
     pub fn n_nodes(&self) -> usize {
@@ -164,7 +238,46 @@ impl EbePlan {
     pub fn faces(&self) -> &[[u32; 6]] {
         self.faces.conn()
     }
+
+    /// A result buffer of at least `len` values (contents unspecified).
+    fn take_buffer(&self, len: usize) -> Vec<f64> {
+        let mut buf = lock(&self.spare).pop().unwrap_or_default();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        buf
+    }
+
+    fn put_buffer(&self, buf: Vec<f64>) {
+        lock(&self.spare).push(buf);
+    }
 }
+
+/// The lock of `m`; every mutex of this module guards plain data that a
+/// panic cannot leave half-written.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A phase of the apply as a queue of `(index, chunk)` work items that
+/// the pool's threads claim one at a time.
+type Queue<'s> = Mutex<Enumerate<ChunksMut<'s, f64>>>;
+
+/// Next work item of `queue`.
+fn claim<'s>(queue: &Queue<'s>) -> Option<(usize, &'s mut [f64])> {
+    lock(queue).next()
+}
+
+/// Elements × fused cases below which the apply runs on the calling
+/// thread. Measured on a 2-vCPU x86-64 host with the helper parked
+/// between applies: two threads gain ×1.1 at 144–576, ×1.3 at 960 and
+/// ×1.7 from 1,536 up; below this grain the wake-up and the helper's spin
+/// buy too little.
+const PAR_GRAIN: usize = 1024;
+/// Elements, faces and nodes per work item.
+const ELEM_CHUNK: usize = 32;
+const FACE_CHUNK: usize = 64;
+const NODE_CHUNK: usize = 128;
 
 /// The compact matrix-free operator `c_m M + c_k K + c_b C_b` over a Tet10
 /// mesh with optional boundary dashpots and Dirichlet mask.
@@ -425,20 +538,13 @@ impl<'a> CompactEbe<'a> {
         }
     }
 
-    /// Gather element `e`'s local inputs, apply [`Self::element_apply`]
-    /// and scatter the result: the scalar reference path.
-    ///
-    /// # Safety
-    ///
-    /// `e` must belong to the element color group of `scatter`'s current
-    /// pass, and `scatter` must wrap `3 * n_nodes * R` values.
-    unsafe fn element_scalar<const R: usize>(&self, scatter: &ColorScatter, e: u32, x: &[f64]) {
-        let el = &self.plan.elems()[e as usize];
+    /// Element `e`'s masked local inputs through
+    /// [`Self::element_apply`] into its block `yl` (`30R` values): the
+    /// scalar reference path.
+    fn element_local<const R: usize>(&self, e: usize, x: &[f64], yl: &mut [f64]) {
         let mut xl = [0.0f64; 240];
-        let mut yl = [0.0f64; 240];
         let xl = &mut xl[..30 * R];
-        let yl = &mut yl[..30 * R];
-        for (k, &n) in el.iter().enumerate() {
+        for (k, &n) in self.plan.elems()[e].iter().enumerate() {
             for a in 0..3 {
                 let dof = 3 * n as usize + a;
                 for c in 0..R {
@@ -446,36 +552,18 @@ impl<'a> CompactEbe<'a> {
                 }
             }
         }
-        self.element_apply::<R>(e as usize, xl, yl);
-        for (k, &n) in el.iter().enumerate() {
-            for a in 0..3 {
-                let dof = 3 * n as usize + a;
-                for c in 0..R {
-                    // SAFETY: same-color elements touch disjoint nodes (the
-                    // plan validated the coloring; the caller passes an
-                    // element of the current pass), and node ids are below
-                    // `n_nodes`, so the slot is in bounds.
-                    unsafe { scatter.add(e, dof * R + c, yl[(3 * k + a) * R + c]) };
-                }
-            }
-        }
+        yl.fill(0.0);
+        self.element_apply::<R>(e, xl, yl);
     }
 
-    /// [`Self::element_scalar`] compiled for AVX2 with the lane kernel: a
-    /// contiguous `3R`-wide gather per node, [`Self::element_apply_lanes`],
-    /// and the same scatter.
-    ///
-    /// # Safety
-    ///
-    /// The host must support AVX2, plus the contract of
-    /// [`Self::element_scalar`].
+    /// [`Self::element_local`] with the lane kernel: a contiguous
+    /// `3R`-wide gather per node and [`Self::element_apply_lanes`].
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn element_avx2<const R: usize>(&self, scatter: &ColorScatter, e: u32, x: &[f64]) {
-        let el = &self.plan.elems()[e as usize];
+    #[inline(always)]
+    fn element_local_lanes<const R: usize>(&self, e: usize, x: &[f64], yl: &mut [f64]) {
         let rows = x.as_chunks::<R>().0;
         let mut xl = [[0.0f64; R]; 30];
-        for (k, &n) in el.iter().enumerate() {
+        for (k, &n) in self.plan.elems()[e].iter().enumerate() {
             for a in 0..3 {
                 let dof = 3 * n as usize + a;
                 if self.fixed.is_empty() || !self.fixed[dof] {
@@ -483,35 +571,20 @@ impl<'a> CompactEbe<'a> {
                 }
             }
         }
-        let mut yl = [[0.0f64; R]; 30];
-        self.element_apply_lanes::<R>(e as usize, &xl, &mut yl);
-        for (k, &n) in el.iter().enumerate() {
-            for a in 0..3 {
-                let dof = 3 * n as usize + a;
-                for c in 0..R {
-                    // SAFETY: as in `element_scalar` (same caller
-                    // contract, same slots).
-                    unsafe { scatter.add(e, dof * R + c, yl[3 * k + a][c]) };
-                }
-            }
-        }
+        let yl: &mut [[f64; R]; 30] = (yl.as_chunks_mut::<R>().0)
+            .try_into()
+            .expect("30 local DOFs per element");
+        *yl = [[0.0; R]; 30];
+        self.element_apply_lanes::<R>(e, &xl, yl);
     }
 
-    /// Gather face `f`'s local inputs, apply its cached dashpot matrix and
-    /// scatter the result.
-    ///
-    /// # Safety
-    ///
-    /// `f` must belong to the face color group of `scatter`'s current
-    /// pass, and `scatter` must wrap `3 * n_nodes * R` values.
+    /// Face `f`'s masked local inputs through its cached dashpot matrix
+    /// into its block `yl` (`18R` values).
     #[inline(always)]
-    unsafe fn face_scalar<const R: usize>(&self, scatter: &ColorScatter, f: u32, x: &[f64]) {
-        let fc = &self.plan.faces()[f as usize];
+    fn face_local<const R: usize>(&self, f: usize, x: &[f64], yl: &mut [f64]) {
         let mut xl = [0.0f64; 144];
-        let mut yl = [0.0f64; 144];
         let xl = &mut xl[..18 * R];
-        let yl = &mut yl[..18 * R];
-        for (k, &n) in fc.iter().enumerate() {
+        for (k, &n) in self.plan.faces()[f].iter().enumerate() {
             for a in 0..3 {
                 let dof = 3 * n as usize + a;
                 for c in 0..R {
@@ -519,107 +592,136 @@ impl<'a> CompactEbe<'a> {
                 }
             }
         }
-        let cb = &self.cb[f as usize * 171..(f as usize + 1) * 171];
+        yl.fill(0.0);
+        let cb = &self.cb[f * 171..(f + 1) * 171];
         sym2_matvec_add_multi::<R>(self.c_b, cb, 0.0, cb, xl, yl, 18);
-        for (k, &n) in fc.iter().enumerate() {
-            for a in 0..3 {
-                let dof = 3 * n as usize + a;
-                for c in 0..R {
-                    // SAFETY: the face coloring of the plan guarantees
-                    // disjoint per-pass writes (the caller passes a face of
-                    // the current pass); node ids are below `n_nodes`.
-                    unsafe { scatter.add(f, dof * R + c, yl[(3 * k + a) * R + c]) };
+    }
+
+    /// Phase 1 on one thread: claim element and face chunks until both
+    /// queues are empty, computing each entity's local result into its
+    /// block. `lanes` picks the lane element kernel.
+    #[inline(always)]
+    fn local_results<const R: usize>(&self, x: &[f64], elems: &Queue, faces: &Queue, lanes: bool) {
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = lanes;
+        while let Some((i, chunk)) = claim(elems) {
+            for (j, yl) in chunk.chunks_exact_mut(30 * R).enumerate() {
+                let e = i * ELEM_CHUNK + j;
+                #[cfg(target_arch = "x86_64")]
+                if lanes {
+                    self.element_local_lanes::<R>(e, x, yl);
+                    continue;
                 }
+                self.element_local::<R>(e, x, yl);
+            }
+        }
+        while let Some((i, chunk)) = claim(faces) {
+            for (j, yl) in chunk.chunks_exact_mut(18 * R).enumerate() {
+                self.face_local::<R>(i * FACE_CHUNK + j, x, yl);
             }
         }
     }
 
-    /// [`Self::face_scalar`] compiled for AVX2: the same code, whose `R`
-    /// loops (and those of the inlined `sym2_matvec_add_multi`) become
-    /// SIMD lanes.
+    /// [`Self::local_results`] with the lane kernels, compiled for AVX2
+    /// (the case loops of the inlined face kernel become lanes too).
     ///
     /// # Safety
     ///
-    /// The host must support AVX2, plus the contract of
-    /// [`Self::face_scalar`].
+    /// The host must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn face_avx2<const R: usize>(&self, scatter: &ColorScatter, f: u32, x: &[f64]) {
-        // SAFETY: the caller upholds `face_scalar`'s contract.
-        unsafe { self.face_scalar::<R>(scatter, f, x) }
+    unsafe fn local_results_avx2<const R: usize>(&self, x: &[f64], elems: &Queue, faces: &Queue) {
+        self.local_results::<R>(x, elems, faces, true);
     }
 
-    /// One colored scatter pass per group of `groups`, calling `body` for
-    /// every entity of the pass (rayon-parallel within a pass when
-    /// `parallel`). Groups come from the validated plan, so `body` only
-    /// ever sees entities of `scatter`'s current pass.
-    fn color_passes(
+    /// Phase 2 for the nodes from `first` on (`y` holds their rows): sum
+    /// each node's incidence blocks of `blocks` from zero, in incidence
+    /// order, then apply the Dirichlet identity.
+    fn gather<const R: usize>(
         &self,
-        scatter: &mut ColorScatter,
-        groups: &[Vec<u32>],
-        body: impl Fn(&ColorScatter, u32) + Sync + Send,
+        first: usize,
+        blocks: &[[f64; R]],
+        x: &[f64],
+        y: &mut [f64],
+        faces: bool,
     ) {
-        for group in groups {
-            scatter.begin_color();
-            let scatter = &*scatter;
-            if self.parallel {
-                group.par_iter().for_each(|&id| body(scatter, id));
-            } else {
-                group.iter().for_each(|&id| body(scatter, id));
+        let identity = self.identity_on_fixed && !self.fixed.is_empty();
+        let xr = x.as_chunks::<R>().0;
+        for (i, yn) in y.as_chunks_mut::<R>().0.chunks_exact_mut(3).enumerate() {
+            let n = first + i;
+            let mut acc = [[0.0f64; R]; 3];
+            let inc = self.plan.elem_inc.of(n).iter();
+            let face_inc = if faces { self.plan.face_inc.of(n) } else { &[] };
+            for &b in inc.chain(face_inc) {
+                let src = &blocks[3 * b as usize..3 * b as usize + 3];
+                for a in 0..3 {
+                    for c in 0..R {
+                        acc[a][c] += src[a][c];
+                    }
+                }
+            }
+            for a in 0..3 {
+                let dof = 3 * n + a;
+                yn[a] = if identity && self.fixed[dof] {
+                    xr[dof]
+                } else {
+                    acc[a]
+                };
             }
         }
     }
 
     /// The apply with `R` fused cases; `simd == false` forces the scalar
     /// reference kernels.
+    ///
+    /// Phase 1 computes every element's and dashpot face's local result
+    /// into its own block of a buffer; phase 2 sums, per node, its blocks
+    /// in the plan's incidence order (element colors, then face colors)
+    /// into `y`. That is the order in which a colored scatter adds them,
+    /// and each node gets at most one contribution per color, so `y` is
+    /// bitwise the scatter's. Both phases split into fixed chunks that the
+    /// kernel pool's threads claim, and no value depends on which thread
+    /// computes it, so `y` does not depend on the thread count either.
     fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64], simd: bool) {
-        // The scatter writes through a raw pointer; its bounds rest on this
-        // length together with the plan's node-id check.
         let len = 3 * self.n_nodes() * R;
         assert_eq!(x.len(), len, "input length");
         assert_eq!(y.len(), len, "output length");
-        y.fill(0.0);
-        let mut scatter = ColorScatter::new(y);
         let avx2 = simd && hetsolve_sparse::simd::avx2();
-        let elems = self.plan.elems.groups();
-        if avx2 {
-            #[cfg(target_arch = "x86_64")]
-            self.color_passes(&mut scatter, elems, |s, e| {
-                // SAFETY: AVX2 was detected at run time above; `e` is an
-                // element of `s`'s current pass (`color_passes`), and `s`
-                // wraps `y`, whose length was asserted above.
-                unsafe { self.element_avx2::<R>(s, e, x) }
-            });
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = avx2;
+        let (ne, nf) = (self.data.n_elems, self.plan.faces().len());
+        let faces = self.c_b != 0.0;
+        let nt = if self.parallel && ne * R >= PAR_GRAIN {
+            usize::MAX
         } else {
-            self.color_passes(&mut scatter, elems, |s, e| {
-                // SAFETY: `e` is an element of `s`'s current pass
-                // (`color_passes`); `s` wraps `y` of asserted length.
-                unsafe { self.element_scalar::<R>(s, e, x) }
-            });
-        }
-        // boundary dashpots (cached packed matrices)
-        if self.c_b != 0.0 {
-            let faces = self.plan.faces.groups();
+            1
+        };
+        let mut buf = self.plan.take_buffer((10 * ne + 6 * nf) * 3 * R);
+        let (elem_blocks, face_blocks) = buf.split_at_mut(30 * R * ne);
+        let face_blocks = if faces {
+            &mut face_blocks[..18 * R * nf]
+        } else {
+            &mut []
+        };
+        let elems = Mutex::new(elem_blocks.chunks_mut(ELEM_CHUNK * 30 * R).enumerate());
+        let faces_q = Mutex::new(face_blocks.chunks_mut(FACE_CHUNK * 18 * R).enumerate());
+        pool::run(nt, |_, _| {
+            #[cfg(target_arch = "x86_64")]
             if avx2 {
-                #[cfg(target_arch = "x86_64")]
-                self.color_passes(&mut scatter, faces, |s, f| {
-                    // SAFETY: AVX2 was detected at run time above; `f` is
-                    // a face of `s`'s current pass, `s` wraps `y`.
-                    unsafe { self.face_avx2::<R>(s, f, x) }
-                });
-            } else {
-                self.color_passes(&mut scatter, faces, |s, f| {
-                    // SAFETY: `f` is a face of `s`'s current pass, `s`
-                    // wraps `y` of asserted length.
-                    unsafe { self.face_scalar::<R>(s, f, x) }
-                });
+                // SAFETY: `avx2` is set only when AVX2 was detected at run
+                // time above.
+                return unsafe { self.local_results_avx2::<R>(x, &elems, &faces_q) };
             }
-        }
-        drop(scatter);
-        // Dirichlet: identity on fixed DOFs
-        if self.identity_on_fixed {
-            FixedMask::new(self.fixed).fix_output_multi(x, y, R);
-        }
+            self.local_results::<R>(x, &elems, &faces_q, false);
+        });
+        let blocks = buf.as_chunks::<R>().0;
+        let nodes = Mutex::new(y.chunks_mut(NODE_CHUNK * 3 * R).enumerate());
+        pool::run(nt, |_, _| {
+            while let Some((i, yc)) = claim(&nodes) {
+                self.gather::<R>(i * NODE_CHUNK, blocks, x, yc, faces);
+            }
+        });
+        self.plan.put_buffer(buf);
     }
 
     fn dispatch(&self, x: &[f64], y: &mut [f64], simd: bool) {
@@ -766,10 +868,14 @@ mod tests {
     use hetsolve_sparse::ebe::{EbeData, EbeOperator};
 
     fn problem() -> FemProblem {
+        problem_of(3, 3, 2)
+    }
+
+    fn problem_of(nx: usize, ny: usize, nz: usize) -> FemProblem {
         FemProblem::paper_like(&GroundModelSpec::paper_like(
-            3,
-            3,
-            2,
+            nx,
+            ny,
+            nz,
             InterfaceShape::Stratified,
         ))
     }
@@ -788,7 +894,10 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let p = problem();
+        fixture_of(problem())
+    }
+
+    fn fixture_of(p: FemProblem) -> Fixture {
         let coloring = color_elements(&p.model.mesh);
         let plan = EbePlan::new(
             p.n_nodes(),
@@ -947,6 +1056,41 @@ mod tests {
         assert_eq!(bits(&fast), bits(&reference), "mass only");
     }
 
+    /// Above the work grain the apply runs on the kernel pool (when the
+    /// host has more than one hardware thread); it is bitwise the
+    /// one-thread apply for every fused width, kernel variant and with
+    /// the Dirichlet identity on or off.
+    #[test]
+    fn threaded_matches_one_thread_bitwise() {
+        let fx = fixture_of(problem_of(8, 8, 4));
+        let n = fx.p.n_dofs();
+        assert!(
+            fx.compact.n_elems >= PAR_GRAIN,
+            "mesh is above the grain at r = 1"
+        );
+        assert!(fx.fixed.iter().any(|&f| f), "fixture has Dirichlet DOFs");
+        assert!(!fx.plan.faces().is_empty(), "fixture has dashpot faces");
+        for r in [1usize, 2, 4, 8] {
+            let x = input(n, r);
+            for simd in [true, false] {
+                let mut one = vec![0.0; n * r];
+                let mut threaded = vec![f64::NAN; n * r];
+                fx.op(false, r).dispatch(&x, &mut one, simd);
+                fx.op(true, r).dispatch(&x, &mut threaded, simd);
+                assert_eq!(bits(&threaded), bits(&one), "r={r} simd={simd}");
+            }
+            let mut one = vec![0.0; n * r];
+            let mut threaded = vec![0.0; n * r];
+            fx.op(false, r)
+                .without_fixed_identity()
+                .apply_multi(&x, &mut one);
+            fx.op(true, r)
+                .without_fixed_identity()
+                .apply_multi(&x, &mut threaded);
+            assert_eq!(bits(&threaded), bits(&one), "r={r} without identity");
+        }
+    }
+
     #[test]
     fn diagonal_blocks_match_cached_ebe() {
         let fx = fixture();
@@ -968,7 +1112,7 @@ mod tests {
         }
     }
 
-    /// The plan's coloring validator fires before any scatter: a coloring
+    /// The plan's coloring validator fires before any apply: a coloring
     /// whose first group holds node-sharing elements panics with the
     /// offending pair.
     #[test]
@@ -990,7 +1134,7 @@ mod tests {
         );
     }
 
-    /// Input and output lengths are checked before the scatter writes.
+    /// Input and output lengths are checked before the apply writes.
     #[test]
     #[should_panic(expected = "output length")]
     fn rejects_short_output() {

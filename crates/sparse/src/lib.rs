@@ -14,6 +14,8 @@
 //!   elimination,
 //! * [`sym`] — packed symmetric element-matrix kernels (shared with
 //!   `hetsolve-fem`),
+//! * [`pool`] — the persistent kernel thread pool the compact EBE apply
+//!   runs on,
 //! * [`vecops`] / [`dense`] — vector primitives and small dense solvers,
 //! * [`op`] — operator traits and hardware-independent [`op::KernelCounts`]
 //!   that the machine model converts into modeled time/energy.
@@ -31,6 +33,7 @@ pub mod error;
 pub mod mcg;
 pub mod op;
 pub mod parcheck;
+pub mod pool;
 pub mod simd;
 pub mod sym;
 pub mod vecops;

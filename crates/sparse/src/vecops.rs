@@ -71,8 +71,9 @@ pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
 /// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`.
 ///
 /// Long vectors are summed in chunks of `4096 * r` values whose partial
-/// sums are added in chunk order, so the result does not depend on the
-/// thread count.
+/// sums are added in chunk order: a threaded reduction over the same
+/// chunks gives the same bits at any thread count. No heap allocation
+/// for `r <= 8`.
 pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
     dot_multi_with(x, y, r, out, true)
 }
@@ -86,18 +87,20 @@ fn dot_multi_with(x: &[f64], y: &[f64], r: usize, out: &mut [f64], simd: bool) {
     if x.len() < PAR_THRESHOLD {
         add_dot_rows(x, y, r, out, simd);
     } else {
-        let partials: Vec<Vec<f64>> = x
-            .par_chunks(4096 * r)
-            .zip(y.par_chunks(4096 * r))
-            .map(|(xc, yc)| {
-                let mut acc = vec![0.0; r];
-                add_dot_rows(xc, yc, r, &mut acc, simd);
-                acc
-            })
-            .collect();
-        for p in partials {
-            for c in 0..r {
-                out[c] += p[c];
+        // per-chunk partials on the stack for every fused width (r <= 8)
+        let mut stack = [0.0f64; 8];
+        let mut heap = Vec::new();
+        let acc = if r <= stack.len() {
+            &mut stack[..r]
+        } else {
+            heap.resize(r, 0.0);
+            &mut heap[..]
+        };
+        for (xc, yc) in x.chunks(4096 * r).zip(y.chunks(4096 * r)) {
+            acc.fill(0.0);
+            add_dot_rows(xc, yc, r, acc, simd);
+            for (o, a) in out.iter_mut().zip(acc.iter()) {
+                *o += a;
             }
         }
     }
